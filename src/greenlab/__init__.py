@@ -7,13 +7,7 @@ kernels and by quadrature on the unit-interval Green function.
 """
 
 from .energy import EnergyReport, cross_energy, gradient_energy, green_energy, ibp_check
-from .kernels import (
-    Kernel,
-    estimate_quasi_symmetry,
-    estimate_wmp_constant,
-    eval_kernel,
-    resolve_h,
-)
+from .kernels import Kernel, estimate_quasi_symmetry, estimate_wmp_constant, resolve_h
 from .measures import Field, Measure, lp_norm, total_mass
 from .potentials import domain_sites, iterated_potential, potential
 from .solver import (
@@ -23,8 +17,6 @@ from .solver import (
     check_conditions,
     minimality_probe,
     solve,
-    solve_homogeneous,
-    solve_inhomogeneous,
 )
 from .verify import (
     VerifyReport,
@@ -46,9 +38,8 @@ __all__ = [
     "check_norm_equivalence", "check_hardy", "check_hls_condition",
     "check_iterated", "check_lower_bound", "check_relation_chain",
     "cross_energy", "domain_sites", "estimate_norm_constant",
-    "estimate_quasi_symmetry", "estimate_wmp_constant", "eval_kernel",
-    "exponent_table", "gradient_energy", "green_energy", "ibp_check",
+    "estimate_quasi_symmetry", "estimate_wmp_constant", "exponent_table",
+    "gradient_energy", "green_energy", "ibp_check",
     "iterated_potential", "lp_norm", "minimality_probe", "potential",
-    "resolve_h", "solve", "solve_homogeneous", "solve_inhomogeneous",
-    "total_mass",
+    "resolve_h", "solve", "total_mass",
 ]

@@ -24,7 +24,7 @@ from .kernels import INTERVAL, Kernel, resolve_h
 from .measures import GRID, Field, Measure
 from .potentials import potential_values
 from .serialize import dumps, write_field_csv
-from .solver import Problem, minimality_probe, solve
+from .solver import DEFAULT_TOL_ATOMIC, Problem, minimality_probe, solve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -70,32 +70,32 @@ def _cmd_solve(args) -> int:
         problem = Problem.from_dict(data)
     except (KeyError, TypeError) as exc:
         raise InputError(f"problem file is missing a field: {exc}") from exc
+    del data  # the parsed input, matrix and all, is not needed past here
     tol = args.tol if args.tol is not None else problem.default_tol()
     report = solve(problem, tol=tol, max_iter=args.max_iter,
                    keep_history=args.history)
-    probe = None
-    if report.converged and args.probe_scale is not None:
-        probe = minimality_probe(problem, report, args.probe_scale, tol=tol)
     out = _base_report("solve", {
         "input": args.input, "tol": tol, "max_iter": args.max_iter,
         "seed": args.seed, "history": bool(args.history),
         "problem": problem.to_dict(),
     })
-    out["result"] = report.to_dict()
-    if probe is not None:
-        out["minimality_probe"] = probe
+    out["result"] = result = report.to_dict()
+    if report.converged and args.probe_scale is not None:
+        out["minimality_probe"] = minimality_probe(problem, report, args.probe_scale,
+                                                   tol=tol)
+    del problem, report  # frees the operators before the report is written
     _emit(out, args.out)
     if args.history and args.out:
         hist_path = Path(args.out).with_suffix(".history.csv")
         with open(hist_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "sup_change", "sup_value", "norm_sigma"])
-            for row in report.history:
+            for row in result["history"]:
                 writer.writerow([row["iteration"], row["sup_change"],
                                  row["sup_value"], row["norm_sigma"]])
         write_field_csv(Path(args.out).with_suffix(".field.csv"),
-                        report.u_values, report.eval_sites)
-    return EXIT_OK if report.converged else EXIT_CHECK_FAILED
+                        result["u"], result["sites"])
+    return EXIT_OK if result["converged"] else EXIT_CHECK_FAILED
 
 
 def _cmd_energy(args) -> int:
@@ -146,7 +146,9 @@ def _manifest_check(entry: dict, seed: int):
         else:
             problem = Problem(kernel=kernel, sigma=omega, q=q,
                               gamma=float(entry.get("gamma", 1.0)), h=need_h())
-            u = solve(problem).u_on_sigma()
+            # solved below the hypothesis slack of 1e-9: the monotone iterate
+            # is a sub-solution, short of u >= G(u^q d omega) by about tol
+            u = solve(problem, tol=DEFAULT_TOL_ATOMIC).u_on_sigma()
         return verify_mod.check_lower_bound(kernel, omega, q, u, need_h())
     if kind == "norm_constant":
         c = verify_mod.estimate_norm_constant(
@@ -196,9 +198,11 @@ def _cmd_verify(args) -> int:
         raise InputError("manifest must contain a 'checks' list")
     reports = []
     for entry in checks:
+        if not isinstance(entry, dict):
+            raise InputError(f"manifest entries must be objects, got {type(entry).__name__}")
         try:
             reports.append(_manifest_check(entry, args.seed))
-        except (KeyError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"bad manifest entry {entry.get('check')!r}: {exc}") from exc
     out = _base_report("verify", {
         "input": args.input, "seed": args.seed, "n_checks": len(checks),

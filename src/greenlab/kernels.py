@@ -153,6 +153,7 @@ class Kernel:
         return np.minimum.outer(t, s) - np.outer(t, s)
 
     def eval(self, x, y) -> float:
+        """G(x, y); +inf is a legal value only for Riesz at x == y."""
         return float(self.gram([x], [y])[0, 0])
 
     # -- serialization ------------------------------------------------
@@ -183,11 +184,6 @@ class Kernel:
             declared_h=data.get("declared_h"),
             declared_a=data.get("declared_a"),
         )
-
-
-def eval_kernel(kernel: Kernel, x, y) -> float:
-    """Evaluate G(x, y); +inf is a legal value only for Riesz at x == y."""
-    return kernel.eval(x, y)
 
 
 def estimate_quasi_symmetry(kernel: Kernel) -> float:

@@ -1,13 +1,14 @@
 """Monotone fixed-point iteration for u = G(u^q d sigma) + G mu, 0 < q < 1.
 
-The homogeneous branch starts from u0 = kappa * (G sigma)^(1/(1-q)) with
+One path serves both cases; only the start differs.  With mu = 0 the
+iteration starts from u0 = kappa * (G sigma)^(1/(1-q)) with
 
     kappa = (1-q)^(1/(1-q)) * h^(-q/(1-q)^2),
 
 the largest prefactor for which the iterated pointwise inequality (with
 WMP constant h) guarantees u1 >= u0, so the sweep is monotone from the
-first step without trial and error.  The inhomogeneous branch starts from
-u0 = G mu, which is monotone unconditionally.
+first step without trial and error.  Otherwise it starts from u0 = G mu,
+which is monotone unconditionally.
 
 Sublinearity makes the contraction rate near the fixed point roughly q,
 so the default iteration budget is generous.  Divergence (infinite
@@ -23,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .energy import power_integral
 from .extreal import TINY, ext_power, masked_mul, sup_abs, weighted_sum
 from .kernels import Kernel, resolve_h
 from .measures import GRID, Field, Measure, lp_norm, total_mass
@@ -34,6 +36,7 @@ DEFAULT_MAX_ITER = 10_000
 
 MONOTONE_SLACK = 1e-12
 DIVERGENCE_CAP = 1e300
+A_PRIORI_SAMPLES = 32  # random densities in the a priori norm-constant probe
 
 
 @dataclass
@@ -101,6 +104,8 @@ class SolveReport:
     diagnostic: Optional[str] = None
     a_priori: Optional[dict] = None
     history: list = field(default_factory=list)
+    # the operators the run used, for the probes; never serialized
+    workspace: Optional["_Workspace"] = field(default=None, repr=False, compare=False)
 
     def u_on_sigma(self) -> Field:
         return Field(self.problem.sigma, self.u_values[self.sigma_pos])
@@ -143,7 +148,12 @@ class SolveReport:
 
 
 class _Workspace:
-    """Precomputed site set, kernel blocks and weights for one problem."""
+    """The one place a problem's operators are built.
+
+    Holds the evaluation set, the sigma gram on it, and the potentials
+    G sigma and G mu there.  The sweep, the condition integrals, the a
+    priori probe and the minimality probe all read from it.
+    """
 
     def __init__(self, problem: Problem):
         p = problem
@@ -155,6 +165,7 @@ class _Workspace:
         self.sigma_pos = site_positions(self.eval_sites, p.sigma.support_sites)
         self.gram_sigma = quadrature_gram(p.kernel, self.eval_sites, p.sigma)
         self.w_sigma = p.sigma.integration_weights
+        self.gsigma = weighted_sum(self.gram_sigma, self.w_sigma)
         if p.mu is not None:
             self.mu_pos = site_positions(self.eval_sites, p.mu.support_sites)
         else:
@@ -171,20 +182,33 @@ class _Workspace:
         w = masked_mul(self.w_sigma, ext_power(u[self.sigma_pos], p.q))
         return weighted_sum(self.gram_sigma, w) + self.gmu
 
+    def sigma_rows(self) -> np.ndarray:
+        """The sigma gram on sigma's own sites; no copy when those are the
+        whole evaluation set in order."""
+        pos = self.sigma_pos
+        if np.array_equal(pos, np.arange(len(self.eval_sites))):
+            return self.gram_sigma
+        return self.gram_sigma[pos]
+
+    def conditions(self) -> dict:
+        """The three condition integrals, read off G sigma and G mu."""
+        p = self.problem
+        i_sigma = power_integral(self.gsigma[self.sigma_pos],
+                                 (p.gamma + p.q) / (1.0 - p.q), self.w_sigma)
+        if p.mu_is_zero:
+            return {"I_sigma": i_sigma, "I_mu": 0.0, "I_cross": 0.0}
+        return {
+            "I_sigma": i_sigma,
+            "I_mu": power_integral(self.gmu[self.mu_pos], p.gamma,
+                                   p.mu.integration_weights),
+            "I_cross": power_integral(self.gmu[self.sigma_pos], p.gamma + p.q,
+                                      self.w_sigma),
+        }
+
 
 def check_conditions(problem: Problem) -> dict:
     """The three condition integrals controlling existence, as extended reals."""
-    p = problem
-    from .energy import cross_energy  # local import keeps module deps one-way
-
-    i_sigma = cross_energy(p.kernel, p.sigma, (p.gamma + p.q) / (1.0 - p.q), p.sigma)
-    if p.mu_is_zero:
-        return {"I_sigma": i_sigma, "I_mu": 0.0, "I_cross": 0.0}
-    return {
-        "I_sigma": i_sigma,
-        "I_mu": cross_energy(p.kernel, p.mu, p.gamma, p.mu),
-        "I_cross": cross_energy(p.kernel, p.mu, p.gamma + p.q, p.sigma),
-    }
+    return _Workspace(problem).conditions()
 
 
 def _iterate(ws: _Workspace, u0: np.ndarray, tol: float, max_iter: int,
@@ -236,86 +260,48 @@ def _iterate(ws: _Workspace, u0: np.ndarray, tol: float, max_iter: int,
     return u, converged, iterations, residual, monotone_ok, diagnostic, history
 
 
-def solve_homogeneous(problem: Problem, tol: Optional[float] = None,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      keep_history: bool = False) -> SolveReport:
-    """Iterate u_{j+1} = G(u_j^q d sigma) from the certified monotone start."""
-    p = problem
-    if not p.mu_is_zero:
-        raise ValueError("mu must vanish here; use solve_inhomogeneous")
-    tol = p.default_tol() if tol is None else tol
-    ws = _Workspace(p)
-    conditions = check_conditions(p)
-    if np.isinf(conditions["I_sigma"]):
-        g_sigma = weighted_sum(ws.gram_sigma, ws.w_sigma)
-        return SolveReport(
-            problem=p, converged=False, iterations=0,
-            u_values=g_sigma, eval_sites=ws.eval_sites,
-            residual_sup=float("inf"), monotone_ok=True,
-            condition_integrals=conditions, sigma_pos=ws.sigma_pos,
-            mu_pos=ws.mu_pos,
-            diagnostic="necessary condition violated: I_sigma is infinite")
-    g_sigma = weighted_sum(ws.gram_sigma, ws.w_sigma)
-    expo = 1.0 / (1.0 - p.q)
-    kappa = (1.0 - p.q) ** expo * p.h ** (-p.q * expo * expo)
-    u0 = kappa * ext_power(g_sigma, expo)
-    u, conv, its, resid, mono, diag, hist = _iterate(ws, u0, tol, max_iter, keep_history)
-    return SolveReport(problem=p, converged=conv, iterations=its, u_values=u,
-                       eval_sites=ws.eval_sites, residual_sup=resid,
-                       monotone_ok=mono, condition_integrals=conditions,
-                       sigma_pos=ws.sigma_pos, mu_pos=ws.mu_pos,
-                       diagnostic=diag, history=hist)
+def solve(problem: Problem, tol: Optional[float] = None,
+          max_iter: int = DEFAULT_MAX_ITER, keep_history: bool = False,
+          c_est: Optional[float] = None) -> SolveReport:
+    """Iterate u_{j+1} = G(u_j^q d sigma) + G mu from a monotone start:
+    u0 = kappa * (G sigma)^(1/(1-q)) when mu vanishes, else u0 = G mu.
 
-
-def solve_inhomogeneous(problem: Problem, tol: Optional[float] = None,
-                        max_iter: int = DEFAULT_MAX_ITER,
-                        keep_history: bool = False,
-                        c_est: Optional[float] = None,
-                        c_est_samples: int = 32) -> SolveReport:
-    """Iterate u_{j+1} = G(u_j^q d sigma) + G mu from u0 = G mu.
-
-    On convergence the a priori norm bound is evaluated with ``c_est``
-    (an estimate of the weighted-norm constant; probed if not supplied).
+    When mu does not vanish and the run converges, the a priori norm bound
+    is evaluated with ``c_est`` (an estimate of the weighted-norm
+    constant; probed on the workspace's sigma rows if not supplied).
     """
     p = problem
-    if p.mu_is_zero:
-        raise ValueError("mu vanishes; use solve_homogeneous")
     tol = p.default_tol() if tol is None else tol
     ws = _Workspace(p)
-    conditions = check_conditions(p)
-    if np.isinf(conditions["I_sigma"]) or not np.all(np.isfinite(ws.gmu)):
-        return SolveReport(
-            problem=p, converged=False, iterations=0, u_values=ws.gmu,
-            eval_sites=ws.eval_sites, residual_sup=float("inf"),
-            monotone_ok=True, condition_integrals=conditions,
-            sigma_pos=ws.sigma_pos, mu_pos=ws.mu_pos, gmu_values=ws.gmu,
-            diagnostic="necessary condition violated: I_sigma or G mu is infinite")
-    u, conv, its, resid, mono, diag, hist = _iterate(ws, ws.gmu.copy(), tol,
-                                                     max_iter, keep_history)
-    report = SolveReport(problem=p, converged=conv, iterations=its, u_values=u,
-                         eval_sites=ws.eval_sites, residual_sup=resid,
-                         monotone_ok=mono, condition_integrals=conditions,
-                         sigma_pos=ws.sigma_pos, mu_pos=ws.mu_pos,
-                         gmu_values=ws.gmu, diagnostic=diag, history=hist)
-    if conv:
+    conditions = ws.conditions()
+    if p.mu_is_zero:
+        expo = 1.0 / (1.0 - p.q)
+        kappa = (1.0 - p.q) ** expo * p.h ** (-p.q * expo * expo)
+        start, u0 = ws.gsigma, kappa * ext_power(ws.gsigma, expo)
+        blocked, why = np.isinf(conditions["I_sigma"]), "I_sigma is infinite"
+    else:
+        start, u0 = ws.gmu, ws.gmu.copy()
+        blocked = np.isinf(conditions["I_sigma"]) or not np.all(np.isfinite(ws.gmu))
+        why = "I_sigma or G mu is infinite"
+    common = dict(problem=p, eval_sites=ws.eval_sites, condition_integrals=conditions,
+                  sigma_pos=ws.sigma_pos, mu_pos=ws.mu_pos, gmu_values=ws.gmu,
+                  workspace=ws)
+    if blocked:
+        return SolveReport(converged=False, iterations=0, u_values=start,
+                           residual_sup=float("inf"), monotone_ok=True,
+                           diagnostic="necessary condition violated: " + why, **common)
+    u, conv, its, resid, mono, diag, hist = _iterate(ws, u0, tol, max_iter, keep_history)
+    report = SolveReport(converged=conv, iterations=its, u_values=u, residual_sup=resid,
+                         monotone_ok=mono, diagnostic=diag, history=hist, **common)
+    if report.converged and not p.mu_is_zero:
         if c_est is None:
-            from .verify import estimate_norm_constant
+            from .verify import _max_norm_ratio  # local import keeps module deps one-way
 
-            c_est = estimate_norm_constant(p.kernel, p.sigma,
-                                           p=(p.gamma + p.q) / p.q,
-                                           r=p.gamma + p.q,
-                                           samples=c_est_samples, seed=0)
+            c_est = _max_norm_ratio(ws.sigma_rows(), ws.w_sigma, ws.gsigma[ws.sigma_pos],
+                                    p=(p.gamma + p.q) / p.q, r=p.gamma + p.q,
+                                    samples=A_PRIORI_SAMPLES, seed=0)
         report.a_priori = a_priori_check(p, report, c_est)
     return report
-
-
-def solve(problem: Problem, **kwargs) -> SolveReport:
-    """Dispatch on whether mu vanishes."""
-    if problem.mu_is_zero:
-        kwargs.pop("c_est", None)
-        kwargs.pop("c_est_samples", None)
-        return solve_homogeneous(problem, **kwargs)
-    return solve_inhomogeneous(problem, **kwargs)
 
 
 def a_priori_check(problem: Problem, report: SolveReport, c_est: float) -> dict:
@@ -357,7 +343,7 @@ def minimality_probe(problem: Problem, report: SolveReport, v0_scale: float,
         raise ValueError("probe needs a converged base solution")
     p = problem
     tol = p.default_tol() if tol is None else tol
-    ws = _Workspace(p)
+    ws = report.workspace or _Workspace(p)
     v0 = v0_scale * (report.u_values + 1.0)
     v, conv, its, resid, _, diag, _ = _iterate(ws, v0, tol, max_iter, False)
     gap = sup_abs(v - report.u_values) if conv else float("inf")

@@ -7,6 +7,8 @@ the code paths they are used to check.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from greenlab import Kernel, Measure
@@ -139,3 +141,21 @@ def certified_problem(rng: np.random.Generator, n: int, q: float,
     kernel = Kernel.matrix(G)
     gamma = float(rng.uniform(0.3, 2.0))
     return Problem(kernel=kernel, sigma=sigma, mu=mu, q=q, gamma=gamma, h=1.0)
+
+
+def count_gram_builds(monkeypatch) -> list:
+    """Patch a counting quadrature_gram into every greenlab module that
+    imported it; returns the list that grows by one per build."""
+    from greenlab import potentials
+
+    original = potentials.quadrature_gram
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("greenlab") and getattr(mod, "quadrature_gram", None) is original:
+            monkeypatch.setattr(mod, "quadrature_gram", counting)
+    return calls

@@ -26,8 +26,7 @@ from greenlab import (
     exponent_table,
     ibp_check,
     minimality_probe,
-    solve_homogeneous,
-    solve_inhomogeneous,
+    solve,
 )
 from greenlab.cli import main
 from tests.helpers import (
@@ -46,14 +45,14 @@ def _report(num: int, ok: bool, desc: str):
 def test_criterion_1_scalar_fixed_points():
     start = time.perf_counter()
     golden = scalar_fixed_point(1.0, 1.0, 1.0, 0.5)  # bisection oracle
-    rep_in = solve_inhomogeneous(
+    rep_in = solve(
         Problem(kernel=Kernel.matrix([[1.0]]),
                 sigma=Measure.atomic([0], [1.0]),
                 mu=Measure.atomic([0], [1.0]), q=0.5))
     ok = (rep_in.converged and rep_in.iterations < 200
           and abs(rep_in.u_values[0] - golden) <= 1e-9
           and abs(golden - (3 + np.sqrt(5)) / 2) < 1e-12)
-    rep_h = solve_homogeneous(
+    rep_h = solve(
         Problem(kernel=Kernel.matrix([[2.0]]),
                 sigma=Measure.atomic([0], [3.0]), q=0.5))
     ok = ok and rep_h.converged and abs(rep_h.u_values[0] - 36.0) <= 1e-9
@@ -74,7 +73,7 @@ def test_criterion_2_monotone_sweep_500():
         sigma = Measure.atomic(np.arange(n), random_weights(rng, n))
         h = estimate_wmp_constant(kernel, samples=2, seed=0)
         problem = Problem(kernel=kernel, sigma=sigma, q=q, h=h)
-        rep = solve_homogeneous(problem)
+        rep = solve(problem)
         if not (rep.converged and rep.monotone_ok):
             failures += 1
             continue
@@ -171,7 +170,7 @@ def test_criterion_6_a_priori_bound():
         else:
             c_est = estimate_norm_constant(kernel, sigma, p_exp, r_exp,
                                            samples=16, seed=1)
-        rep = solve_inhomogeneous(problem, c_est=c_est)
+        rep = solve(problem, c_est=c_est)
         if not rep.converged:
             if n <= 3:
                 gated_failures += 1
@@ -215,15 +214,15 @@ def test_criterion_8_minimality_probe():
     scalar_in = Problem(kernel=Kernel.matrix([[1.0]]),
                         sigma=Measure.atomic([0], [1.0]),
                         mu=Measure.atomic([0], [1.0]), q=0.5)
-    rep = solve_inhomogeneous(scalar_in)
+    rep = solve(scalar_in)
     results.append(minimality_probe(scalar_in, rep, v0_scale=3.0))
     scalar_h = Problem(kernel=Kernel.matrix([[2.0]]),
                        sigma=Measure.atomic([0], [3.0]), q=0.5)
-    rep = solve_homogeneous(scalar_h)
+    rep = solve(scalar_h)
     results.append(minimality_probe(scalar_h, rep, v0_scale=3.0))
     two = Problem(kernel=Kernel.matrix([[2.0, 1.0], [1.0, 2.0]]),
                   sigma=Measure.atomic([0, 1], [1.0, 1.0]), q=0.5)
-    rep = solve_homogeneous(two)
+    rep = solve(two)
     results.append(minimality_probe(two, rep, v0_scale=3.0))
     ok = all(r["agrees"] for r in results)
     gaps = ", ".join(f"{r['gap_sup']:.2e}" for r in results)

@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greenlab
 from greenlab.cli import main
 
 GOLDEN_PROBLEM = {
@@ -195,6 +198,32 @@ class TestVerify:
         inp2 = write(tmp_path, "m2.json", {"not_checks": []})
         assert main(["verify", inp2]) == 2
 
+    @pytest.mark.parametrize("entry", [
+        5,
+        {"check": "iterated", "kernel": {"variant": "interval1d"},
+         "omega": {"variant": "grid", "n_cells": 4, "values": [1, 1, 1, 1]},
+         "s": None},
+    ], ids=["non-object-entry", "null-exponent"])
+    def test_bad_entry_is_input_error(self, tmp_path, capsys, entry):
+        inp = write(tmp_path, "m.json", {"checks": [entry]})
+        assert main(["verify", inp]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_lower_bound_solved_below_hypothesis_slack(self, tmp_path):
+        # the solve behind the check must land within the 1e-9 slack of
+        # u >= G(u^q d omega), or the check reports a spurious hypothesis-fail
+        manifest = {"checks": [
+            {"check": "lower_bound", "kernel": {"variant": "interval1d"},
+             "omega": {"variant": "grid", "n_cells": 50, "values": [1.0] * 50},
+             "q": 0.5},
+        ]}
+        out = str(tmp_path / "r.json")
+        assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
+        rep = load_report(out)["reports"][0]
+        assert rep["details"]["status"] == "checked" and rep["passed"] is True
+
 
 class TestExponents:
     def test_reference_row(self, tmp_path):
@@ -211,9 +240,13 @@ class TestExponents:
 
 
 def test_module_entry_point_runs():
+    # the child runs the greenlab this suite imported, installed or not
+    src = str(Path(greenlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "greenlab", "exponents", "--n", "3", "--p", "2",
          "--q", "0.5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert '"gamma": 1.0' in proc.stdout

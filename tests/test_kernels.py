@@ -7,7 +7,6 @@ from greenlab import (
     Kernel,
     estimate_quasi_symmetry,
     estimate_wmp_constant,
-    eval_kernel,
 )
 from tests.helpers import interval_green_oracle
 
@@ -15,43 +14,43 @@ from tests.helpers import interval_green_oracle
 class TestEval:
     def test_riesz_unit_distance(self):
         k = Kernel.riesz(alpha=1.0, dim=3)
-        assert eval_kernel(k, (0, 0, 0), (1, 0, 0)) == pytest.approx(1.0)
+        assert k.eval((0, 0, 0), (1, 0, 0)) == pytest.approx(1.0)
 
     def test_matrix_lookup(self):
         k = Kernel.matrix([[2, 1], [1, 2]])
-        assert eval_kernel(k, 0, 1) == 1.0
+        assert k.eval(0, 1) == 1.0
 
     def test_interval_against_ode_oracle(self):
         # oracle: -u'' = delta_{0.5}, zero boundary, solved by ODE matching
         k = Kernel.interval1d()
         expected = interval_green_oracle(0.25, 0.5)
         assert expected == pytest.approx(0.125, abs=1e-15)
-        assert eval_kernel(k, 0.25, 0.5) == pytest.approx(expected, rel=1e-14)
+        assert k.eval(0.25, 0.5) == pytest.approx(expected, rel=1e-14)
 
     def test_interval_matches_oracle_on_a_mesh(self):
         k = Kernel.interval1d()
         for x in (0.1, 0.3, 0.5, 0.77):
             for c in (0.2, 0.5, 0.9):
-                assert eval_kernel(k, x, c) == pytest.approx(
+                assert k.eval(x, c) == pytest.approx(
                     interval_green_oracle(x, c), rel=1e-13)
 
     def test_riesz_diagonal_is_infinite(self):
         k = Kernel.riesz(alpha=1.0, dim=3)
-        assert eval_kernel(k, (0, 0, 0), (0, 0, 0)) == float("inf")
+        assert k.eval((0, 0, 0), (0, 0, 0)) == float("inf")
 
     def test_nonnegative(self):
         k = Kernel.matrix([[0.0, 0.5], [0.5, 0.0]])
-        assert eval_kernel(k, 0, 0) == 0.0
+        assert k.eval(0, 0) == 0.0
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            eval_kernel(Kernel.riesz(1.0, 3), (0, 0), (1, 0, 0))
+            Kernel.riesz(1.0, 3).eval((0, 0), (1, 0, 0))
         with pytest.raises(IndexError):
-            eval_kernel(Kernel.matrix([[1.0]]), 0, 3)
+            Kernel.matrix([[1.0]]).eval(0, 3)
         with pytest.raises(ValueError):
-            eval_kernel(Kernel.interval1d(), 0.0, 0.5)
+            Kernel.interval1d().eval(0.0, 0.5)
         with pytest.raises(ValueError):
-            eval_kernel(Kernel.interval1d(), 0.5, 1.0)
+            Kernel.interval1d().eval(0.5, 1.0)
 
     def test_bad_construction(self):
         with pytest.raises(ValueError):
@@ -140,8 +139,8 @@ class TestRieszScaling:
         x, y = rng.normal(size=3), rng.normal(size=3)
         if np.allclose(x, y):
             return
-        base = eval_kernel(k, x, y)
-        scaled = eval_kernel(k, lam * x, lam * y)
+        base = k.eval(x, y)
+        scaled = k.eval(lam * x, lam * y)
         assert scaled == pytest.approx(lam ** (2 * alpha - dim) * base, rel=1e-12)
 
 

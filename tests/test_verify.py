@@ -14,13 +14,17 @@ from greenlab import (
     check_iterated,
     check_lower_bound,
     check_relation_chain,
+    domain_sites,
     estimate_norm_constant,
     exponent_table,
+    ibp_check,
+    iterated_potential,
     potential,
-    solve_homogeneous,
+    solve,
 )
 from tests.helpers import (
     brute_force_norm_constant,
+    count_gram_builds,
     random_green_matrix,
     random_weights,
 )
@@ -62,7 +66,7 @@ class TestLowerBound:
             om = Measure.atomic(np.arange(n), random_weights(rng, n))
             q = float(rng.choice([0.25, 0.5, 0.75]))
             p = Problem(kernel=k, sigma=om, q=q, h=1.0)
-            rep_solve = solve_homogeneous(p)
+            rep_solve = solve(p)
             assert rep_solve.converged
             rep = check_lower_bound(k, om, q, rep_solve.u_on_sigma(), h=1.0)
             assert rep.passed
@@ -70,8 +74,6 @@ class TestLowerBound:
     def test_inhomogeneous_solutions_also_dominate(self):
         # u = G(u^q d sigma) + G mu >= G(u^q d sigma), so the bound with
         # omega := sigma applies to the inhomogeneous branch too
-        from greenlab import solve_inhomogeneous
-
         rng = np.random.default_rng(5)
         for _ in range(10):
             n = int(rng.integers(2, 8))
@@ -79,7 +81,7 @@ class TestLowerBound:
             sigma = Measure.atomic(np.arange(n), random_weights(rng, n))
             mu = Measure.atomic(np.arange(n), random_weights(rng, n, lo=0.05))
             p = Problem(kernel=k, sigma=sigma, mu=mu, q=0.5, h=1.0)
-            rep_solve = solve_inhomogeneous(p, c_est=1.0)
+            rep_solve = solve(p, c_est=1.0)
             assert rep_solve.converged
             rep = check_lower_bound(k, sigma, 0.5, rep_solve.u_on_sigma(), h=1.0)
             assert rep.passed
@@ -364,3 +366,26 @@ def test_reports_are_deterministic():
     rep2 = check_iterated(K22, OM22, 2.0, h=1.0)
     assert rep1.to_dict() == rep2.to_dict()
     assert rep1.instance_digest == rep2.instance_digest
+
+
+@pytest.mark.parametrize("run", [
+    lambda: check_iterated(Kernel.interval1d(), Measure.lebesgue(40), 2.0, h=1.0),
+    lambda: check_iterated(Kernel.riesz(0.25, 1), Measure.lebesgue(40), 0.5, h=1.0),
+    lambda: check_norm_equivalence(K22, OM22, 3.0, 1.5, samples=8),
+    lambda: ibp_check(Kernel.interval1d(), Measure.lebesgue(40), 2.0),
+], ids=["iterated-interval", "iterated-riesz", "norm-equivalence", "ibp"])
+def test_each_check_builds_its_gram_once(monkeypatch, run):
+    calls = count_gram_builds(monkeypatch)
+    run()
+    assert len(calls) == 1
+
+
+def test_iterated_sides_are_the_reference_potentials():
+    # unsorted atoms: the evaluation set is sorted, omega's own order is not
+    k = Kernel.interval1d()
+    om = Measure.atomic([0.7, 0.2, 0.5], [0.3, 1.0, 0.6])
+    for s in (0.5, 2.0):
+        rep = check_iterated(k, om, s, h=1.0)
+        targets = domain_sites(k, om)
+        assert rep.lhs in potential(k, om, targets).values ** s
+        assert rep.rhs in s * iterated_potential(k, om, s, targets).values
