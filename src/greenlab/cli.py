@@ -10,7 +10,6 @@ timestamp field.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -23,7 +22,7 @@ from .energy import green_energy, ibp_check
 from .kernels import INTERVAL, Kernel, resolve_h
 from .measures import GRID, Field, Measure
 from .potentials import potential_values
-from .serialize import dumps, write_field_csv
+from .serialize import dumps, write_csv, write_field_csv
 from .solver import DEFAULT_TOL_ATOMIC, Problem, minimality_probe, solve
 
 EXIT_OK = 0
@@ -41,11 +40,14 @@ def _load_json(path: str) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _emit(report: dict, out_path):
@@ -86,13 +88,9 @@ def _cmd_solve(args) -> int:
     del problem, report  # frees the operators before the report is written
     _emit(out, args.out)
     if args.history and args.out:
-        hist_path = Path(args.out).with_suffix(".history.csv")
-        with open(hist_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "sup_change", "sup_value", "norm_sigma"])
-            for row in result["history"]:
-                writer.writerow([row["iteration"], row["sup_change"],
-                                 row["sup_value"], row["norm_sigma"]])
+        columns = ["iteration", "sup_change", "sup_value", "norm_sigma"]
+        write_csv(Path(args.out).with_suffix(".history.csv"), columns,
+                  ([row[c] for c in columns] for row in result.get("history", [])))
         write_field_csv(Path(args.out).with_suffix(".field.csv"),
                         result["u"], result["sites"])
     return EXIT_OK if result["converged"] else EXIT_CHECK_FAILED
@@ -104,8 +102,8 @@ def _cmd_energy(args) -> int:
         kernel = Kernel.from_dict(data["kernel"])
         omega = Measure.from_dict(data["omega"])
         gamma = float(data["gamma"])
-    except KeyError as exc:
-        raise InputError(f"energy file needs field {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"energy file has a missing or malformed field: {exc}") from exc
     if kernel.variant == INTERVAL and omega.variant == GRID:
         result = ibp_check(kernel, omega, gamma).to_dict()
     else:

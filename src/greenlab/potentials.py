@@ -1,4 +1,5 @@
-"""Green potentials G(omega) and iterated potentials G((G omega)^(s-1) d omega).
+"""Green operators f -> G(f d omega), and through them the potentials
+G omega and iterated potentials G((G omega)^(s-1) d omega).
 
 Atomic sources are exact weighted sums.  Grid sources use the midpoint
 rule; the interval kernel is bounded on (0,1)^2 so no diagonal correction
@@ -64,9 +65,49 @@ def quadrature_gram(kernel: Kernel, target_sites, omega: Measure) -> np.ndarray:
     return gram
 
 
-def potential_values(kernel: Kernel, omega: Measure, target_sites) -> np.ndarray:
+def green_operator(kernel: Kernel, target_sites, omega: Measure):
+    """G(f d omega) at the targets, as a function of the density f.
+
+    Builds omega's gram once; the returned ``apply(f=None)`` takes one
+    value of f per support site of omega (0 * inf = 0 in the integrand)
+    and gives G omega when f is omitted.  This dense masked product is the
+    reference any faster operator path is checked against.
+    """
     gram = quadrature_gram(kernel, target_sites, omega)
-    return weighted_sum(gram, omega.integration_weights)
+    w = omega.integration_weights
+
+    def apply(f=None) -> np.ndarray:
+        return weighted_sum(gram, w if f is None else masked_mul(w, f))
+
+    return apply
+
+
+def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float,
+                   samples: int, seed: int) -> float:
+    """Largest ||G(f d omega)||_r / ||f||_p over the densities f = (G omega)^t
+    on a small exponent grid plus ``samples`` uniform(0,1] random ones, given
+    omega's operator on its own sites, its weights and G omega there."""
+
+    def ratio(f: np.ndarray) -> float:
+        den = float(ext_power(float(weighted_sum(ext_power(f, p), w)), 1.0 / p))
+        if den == 0.0 or np.isnan(den):
+            return 0.0
+        num = float(ext_power(float(weighted_sum(ext_power(apply(f), r), w)), 1.0 / r))
+        if np.isinf(num) and np.isinf(den):
+            return 0.0
+        return num / den
+
+    best = 0.0
+    for t in (0.0, 0.5, 1.0, 2.0, r / (p - r)):
+        best = max(best, ratio(ext_power(g_omega, t)))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        best = max(best, ratio(1.0 - rng.random(len(w))))
+    return float(best)
+
+
+def potential_values(kernel: Kernel, omega: Measure, target_sites) -> np.ndarray:
+    return green_operator(kernel, target_sites, omega)()
 
 
 def potential(kernel: Kernel, omega: Measure, targets: Targets = None) -> Field:
@@ -93,11 +134,8 @@ def iterated_potential(kernel: Kernel, omega: Measure, s: float,
     if not s > 0:
         raise ValueError("s must be > 0")
     base = potential_values(kernel, omega, omega.support_sites)
-    factor = ext_power(base, s - 1.0)
-    reweights = masked_mul(omega.integration_weights, factor)
     sites, ref = _target_sites(kernel, omega, targets)
-    gram = quadrature_gram(kernel, sites, omega)
-    return Field(ref, weighted_sum(gram, reweights))
+    return Field(ref, green_operator(kernel, sites, omega)(ext_power(base, s - 1.0)))
 
 
 def domain_sites(kernel: Kernel, *meas: Optional[Measure]):

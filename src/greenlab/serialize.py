@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -56,14 +57,15 @@ def digest(obj, length: int = 12) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:length]
 
 
-def write_field_csv(path, values, sites=None) -> None:
-    """Dump field samples as (site-or-cell index, value) rows."""
-    import csv
-
-    values = np.asarray(values)
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV, non-finite floats encoded as in reports."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["site", "value"])
-        for i, v in enumerate(values):
-            label = i if sites is None else jsonable(sites[i])
-            writer.writerow([label, jsonable(float(v))])
+        writer.writerow(header)
+        writer.writerows(jsonable(list(row)) for row in rows)
+
+
+def write_field_csv(path, values, sites=None) -> None:
+    """Dump field samples as (site-or-cell index, value) rows."""
+    write_csv(path, ["site", "value"],
+              ((i if sites is None else sites[i], float(v)) for i, v in enumerate(values)))

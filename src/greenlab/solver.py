@@ -25,10 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .energy import power_integral
-from .extreal import TINY, ext_power, masked_mul, sup_abs, weighted_sum
+from .extreal import TINY, ext_power, sup_abs
 from .kernels import Kernel, resolve_h
 from .measures import GRID, Field, Measure, lp_norm, total_mass
-from .potentials import domain_sites, quadrature_gram, site_positions
+from .potentials import domain_sites, green_operator, max_norm_ratio, site_positions
 
 DEFAULT_TOL_ATOMIC = 1e-10
 DEFAULT_TOL_GRID = 1e-7
@@ -150,9 +150,9 @@ class SolveReport:
 class _Workspace:
     """The one place a problem's operators are built.
 
-    Holds the evaluation set, the sigma gram on it, and the potentials
-    G sigma and G mu there.  The sweep, the condition integrals, the a
-    priori probe and the minimality probe all read from it.
+    Holds the evaluation set, sigma's operator f -> G(f d sigma) there,
+    and G sigma and G mu (mu's operator is applied once, then dropped).
+    The sweep, the condition integrals and the probes all read from it.
     """
 
     def __init__(self, problem: Problem):
@@ -163,32 +163,21 @@ class _Workspace:
         self.problem = p
         self.eval_sites = domain_sites(p.kernel, p.sigma, p.mu)
         self.sigma_pos = site_positions(self.eval_sites, p.sigma.support_sites)
-        self.gram_sigma = quadrature_gram(p.kernel, self.eval_sites, p.sigma)
+        self.op_sigma = green_operator(p.kernel, self.eval_sites, p.sigma)
         self.w_sigma = p.sigma.integration_weights
-        self.gsigma = weighted_sum(self.gram_sigma, self.w_sigma)
+        self.gsigma = self.op_sigma()
         if p.mu is not None:
             self.mu_pos = site_positions(self.eval_sites, p.mu.support_sites)
         else:
             self.mu_pos = None
         if not p.mu_is_zero:
-            gram_mu = quadrature_gram(p.kernel, self.eval_sites, p.mu)
-            self.gmu = weighted_sum(gram_mu, p.mu.integration_weights)
+            self.gmu = green_operator(p.kernel, self.eval_sites, p.mu)()
         else:
             self.gmu = np.zeros(len(self.eval_sites))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """One sweep: G(u^q d sigma) + G mu on the evaluation set."""
-        p = self.problem
-        w = masked_mul(self.w_sigma, ext_power(u[self.sigma_pos], p.q))
-        return weighted_sum(self.gram_sigma, w) + self.gmu
-
-    def sigma_rows(self) -> np.ndarray:
-        """The sigma gram on sigma's own sites; no copy when those are the
-        whole evaluation set in order."""
-        pos = self.sigma_pos
-        if np.array_equal(pos, np.arange(len(self.eval_sites))):
-            return self.gram_sigma
-        return self.gram_sigma[pos]
+        return self.op_sigma(ext_power(u[self.sigma_pos], self.problem.q)) + self.gmu
 
     def conditions(self) -> dict:
         """The three condition integrals, read off G sigma and G mu."""
@@ -243,9 +232,7 @@ def _iterate(ws: _Workspace, u0: np.ndarray, tol: float, max_iter: int,
         diff = sup_abs(v - u)
         if keep_history:
             r_exp = p.gamma + p.q
-            norm = float(ext_power(
-                float(weighted_sum(ext_power(v[ws.sigma_pos], r_exp), ws.w_sigma)),
-                1.0 / r_exp))
+            norm = lp_norm(Field(p.sigma, v[ws.sigma_pos]), r_exp, p.sigma)
             history.append({"iteration": it, "sup_change": diff,
                             "sup_value": float(v.max()) if v.size else 0.0,
                             "norm_sigma": norm})
@@ -268,7 +255,7 @@ def solve(problem: Problem, tol: Optional[float] = None,
 
     When mu does not vanish and the run converges, the a priori norm bound
     is evaluated with ``c_est`` (an estimate of the weighted-norm
-    constant; probed on the workspace's sigma rows if not supplied).
+    constant; probed with the workspace's sigma operator if not supplied).
     """
     p = problem
     tol = p.default_tol() if tol is None else tol
@@ -295,11 +282,9 @@ def solve(problem: Problem, tol: Optional[float] = None,
                          monotone_ok=mono, diagnostic=diag, history=hist, **common)
     if report.converged and not p.mu_is_zero:
         if c_est is None:
-            from .verify import _max_norm_ratio  # local import keeps module deps one-way
-
-            c_est = _max_norm_ratio(ws.sigma_rows(), ws.w_sigma, ws.gsigma[ws.sigma_pos],
-                                    p=(p.gamma + p.q) / p.q, r=p.gamma + p.q,
-                                    samples=A_PRIORI_SAMPLES, seed=0)
+            c_est = max_norm_ratio(lambda f: ws.op_sigma(f)[ws.sigma_pos], ws.w_sigma,
+                                   ws.gsigma[ws.sigma_pos], p=(p.gamma + p.q) / p.q,
+                                   r=p.gamma + p.q, samples=A_PRIORI_SAMPLES, seed=0)
         report.a_priori = a_priori_check(p, report, c_est)
     return report
 

@@ -21,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import cross_energy, grid_derivative, power_integral
-from .extreal import TINY, ext_power, masked_mul, weighted_sum
+from .energy import grid_derivative, power_integral
+from .extreal import TINY, ext_power, weighted_sum
 from .kernels import Kernel, resolve_h, resolve_quasi_symmetry
 from .measures import GRID, Field, Measure, total_mass
-from .potentials import domain_sites, quadrature_gram, site_positions
+from .potentials import domain_sites, green_operator, max_norm_ratio, site_positions
 from .serialize import digest
 
 REL_TOL_ATOMIC = 1e-12
@@ -95,9 +95,8 @@ def check_lower_bound(kernel: Kernel, omega: Measure, q: float, u: Field,
     vals = u.values
     if len(vals) != omega.size:
         raise ValueError("u must be sampled on omega's support")
-    w_q = masked_mul(omega.integration_weights, ext_power(vals, q))
-    gram = quadrature_gram(kernel, omega.support_sites, omega)
-    pot_uq = weighted_sum(gram, w_q)
+    op = green_operator(kernel, omega.support_sites, omega)
+    pot_uq = op(ext_power(vals, q))
     scale = max(1.0, float(np.max(vals[np.isfinite(vals)], initial=0.0)))
     hyp_gap = float(np.min(vals - pot_uq)) if len(vals) else 0.0
     if not hyp_gap >= -1e-9 * scale:
@@ -105,8 +104,7 @@ def check_lower_bound(kernel: Kernel, omega: Measure, q: float, u: Field,
                             {"status": "hypothesis-fail",
                              "note": "u does not dominate G(u^q d omega)"})
     const = (1.0 - q) ** (1.0 / (1.0 - q)) * h ** (-q / (1.0 - q))
-    g_omega = weighted_sum(gram, omega.integration_weights)
-    bound = const * ext_power(g_omega, 1.0 / (1.0 - q))
+    bound = const * ext_power(op(), 1.0 / (1.0 - q))
     gap = vals - bound
     gap = np.where(np.isinf(vals) & np.isinf(bound), 0.0, gap)
     idx = int(np.argmin(gap)) if len(gap) else 0
@@ -129,14 +127,13 @@ def check_iterated(kernel: Kernel, omega: Measure, s: float, h: float) -> Verify
         raise ValueError("s must be > 0")
     dig = _digest_inputs(check="iterated", kernel=kernel, omega=omega, s=s, h=h)
     targets = domain_sites(kernel, omega)
-    gram = quadrature_gram(kernel, targets, omega)
-    pot = weighted_sum(gram, omega.integration_weights)
+    op = green_operator(kernel, targets, omega)
+    pot = op()
     lhs = ext_power(pot, s)
     factor = s * h ** (s - 1.0)
     # G((G omega)^(s-1) d omega): the base is the same potential at omega's sites
     base = pot[site_positions(targets, omega.support_sites)]
-    reweights = masked_mul(omega.integration_weights, ext_power(base, s - 1.0))
-    rhs = factor * weighted_sum(gram, reweights)
+    rhs = factor * op(ext_power(base, s - 1.0))
     upper_ok = bool(np.all(_le(lhs, rhs, REL_TOL_ATOMIC)))
     lower_ok = bool(np.all(_le(rhs, lhs, REL_TOL_ATOMIC)))
     finite = np.isfinite(lhs) & np.isfinite(rhs)
@@ -161,43 +158,16 @@ def check_iterated(kernel: Kernel, omega: Measure, s: float, h: float) -> Verify
 
 
 def _self_operator(kernel: Kernel, omega: Measure, p: float, r: float):
-    """Check the (p, r) exponents; return omega's gram on its own sites,
-    its weights and its potential there."""
+    """Check the (p, r) exponents; return omega's operator on its own
+    sites, its weights and its potential there."""
     if not p > 1.0:
         raise ValueError("p must be > 1")
     if not 0.0 < r < p:
         raise ValueError("r must lie in (0, p)")
     if total_mass(omega) <= 0.0:
         raise ValueError("omega is degenerate (zero mass)")
-    w = omega.integration_weights
-    gram = quadrature_gram(kernel, omega.support_sites, omega)
-    return gram, w, weighted_sum(gram, w)
-
-
-def _max_norm_ratio(gram: np.ndarray, w: np.ndarray, g_omega: np.ndarray,
-                    p: float, r: float, samples: int, seed: int) -> float:
-    """Largest ||G(f d omega)||_r / ||f||_p over the candidate densities of
-    :func:`estimate_norm_constant`, given omega's gram on its own sites,
-    its weights and its potential there."""
-
-    def ratio(f: np.ndarray) -> float:
-        den = float(ext_power(float(weighted_sum(ext_power(f, p), w)), 1.0 / p))
-        if den == 0.0 or np.isnan(den):
-            return 0.0
-        gf = weighted_sum(gram, masked_mul(w, f))
-        num = float(ext_power(float(weighted_sum(ext_power(gf, r), w)), 1.0 / r))
-        if np.isinf(num) and np.isinf(den):
-            return 0.0
-        return num / den
-
-    best = 0.0
-    for t in (0.0, 0.5, 1.0, 2.0, r / (p - r)):
-        best = max(best, ratio(ext_power(g_omega, t)))
-    rng = np.random.default_rng(seed)
-    m = len(w)
-    for _ in range(samples):
-        best = max(best, ratio(1.0 - rng.random(m)))
-    return float(best)
+    op = green_operator(kernel, omega.support_sites, omega)
+    return op, omega.integration_weights, op()
 
 
 def estimate_norm_constant(kernel: Kernel, omega: Measure, p: float, r: float,
@@ -211,7 +181,7 @@ def estimate_norm_constant(kernel: Kernel, omega: Measure, p: float, r: float,
     the energy characterization, so the estimate never falls below the
     theory-motivated test function.
     """
-    return _max_norm_ratio(*_self_operator(kernel, omega, p, r), p, r, samples, seed)
+    return max_norm_ratio(*_self_operator(kernel, omega, p, r), p, r, samples, seed)
 
 
 def check_norm_equivalence(kernel: Kernel, omega: Measure, p: float, r: float,
@@ -231,9 +201,9 @@ def check_norm_equivalence(kernel: Kernel, omega: Measure, p: float, r: float,
     if h is None:
         h = resolve_h(kernel)
     expo = p * r / (p - r)
-    gram, w, g_omega = _self_operator(kernel, omega, p, r)
+    op, w, g_omega = _self_operator(kernel, omega, p, r)
     energy = power_integral(g_omega, expo, w)
-    c_lower = _max_norm_ratio(gram, w, g_omega, p, r, samples, seed)
+    c_lower = max_norm_ratio(op, w, g_omega, p, r, samples, seed)
     s_exp = r / (p - r)
     c0 = 1.0 / ((s_exp + 1.0) * h ** s_exp)
     if np.isinf(energy):
@@ -309,9 +279,14 @@ def check_relation_chain(kernel: Kernel, sigma: Measure, mu: Measure, q: float,
                          mu=mu, q=q, gamma=gamma, h=h)
     if a_qs is None:
         a_qs = resolve_quasi_symmetry(kernel)
-    i_sigma = cross_energy(kernel, sigma, (gamma + q) / (1.0 - q), sigma)
-    i_mu = cross_energy(kernel, mu, gamma, mu)
-    i_cross = cross_energy(kernel, mu, gamma + q, sigma)
+    i_sigma = power_integral(green_operator(kernel, sigma.support_sites, sigma)(),
+                             (gamma + q) / (1.0 - q), sigma.integration_weights)
+    # one mu operator on mu's sites followed by sigma's: G mu for I_mu and I_cross
+    mu_sites = kernel._as_sites(mu.support_sites)
+    targets = np.concatenate([mu_sites, kernel._as_sites(sigma.support_sites)])
+    g_mu = green_operator(kernel, targets, mu)()
+    i_mu = power_integral(g_mu[:len(mu_sites)], gamma, mu.integration_weights)
+    i_cross = power_integral(g_mu[len(mu_sites):], gamma + q, sigma.integration_weights)
     if not (np.isfinite(i_sigma) and np.isfinite(i_mu)):
         return VerifyReport("relation_chain", dig, float("nan"), float("nan"),
                             float("nan"), False, float("nan"),

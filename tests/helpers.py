@@ -7,8 +7,6 @@ the code paths they are used to check.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from greenlab import Kernel, Measure
@@ -144,8 +142,8 @@ def certified_problem(rng: np.random.Generator, n: int, q: float,
 
 
 def count_gram_builds(monkeypatch) -> list:
-    """Patch a counting quadrature_gram into every greenlab module that
-    imported it; returns the list that grows by one per build."""
+    """Patch a counting quadrature_gram into greenlab.potentials, where every
+    operator is built; returns the list that grows by one per build."""
     from greenlab import potentials
 
     original = potentials.quadrature_gram
@@ -155,7 +153,5 @@ def count_gram_builds(monkeypatch) -> list:
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("greenlab") and getattr(mod, "quadrature_gram", None) is original:
-            monkeypatch.setattr(mod, "quadrature_gram", counting)
+    monkeypatch.setattr(potentials, "quadrature_gram", counting)
     return calls

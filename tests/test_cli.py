@@ -90,6 +90,19 @@ class TestSolve:
         field_text = (tmp_path / "r.field.csv").read_text()
         assert field_text.startswith("site,value")
 
+    def test_history_csvs_of_a_blocked_solve(self, tmp_path):
+        # infinite I_sigma: no sweep, so no history rows, and u = G sigma = inf
+        problem = {"kernel": {"variant": "riesz", "alpha": 1.0, "dim": 3},
+                   "sigma": {"variant": "atomic", "sites": [[0, 0, 0], [1, 0, 0]],
+                             "weights": [1.0, 1.0]}, "q": 0.5}
+        out = str(tmp_path / "r.json")
+        assert main(["solve", write(tmp_path, "p.json", problem), "--history",
+                     "--out", out]) == 1
+        assert (tmp_path / "r.history.csv").read_text().splitlines() == [
+            "iteration,sup_change,sup_value,norm_sigma"]
+        assert (tmp_path / "r.field.csv").read_text().splitlines() == [
+            "site,value", '"[0.0, 0.0, 0.0]",inf', '"[1.0, 0.0, 0.0]",inf']
+
     def test_probe_scale(self, tmp_path):
         inp = write(tmp_path, "p.json", GOLDEN_PROBLEM)
         out = str(tmp_path / "r.json")
@@ -237,6 +250,20 @@ class TestExponents:
 
     def test_out_of_range_is_input_error(self, capsys):
         assert main(["exponents", "--n", "3", "--p", "3.0", "--q", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("energy", {"kernel": {"variant": "interval1d"},
+                "omega": {"variant": "grid", "n_cells": 4, "values": [1, 1, 1, 1]},
+                "gamma": None}),
+    ("solve", [1, 2]),
+    ("verify", [1, 2]),
+], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list"])
+def test_malformed_input_exits_two(tmp_path, capsys, command, payload):
+    assert main([command, write(tmp_path, "in.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs():

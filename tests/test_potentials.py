@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlab import Kernel, Measure, iterated_potential, potential
+from greenlab.extreal import masked_mul, weighted_sum
+from greenlab.potentials import green_operator, quadrature_gram
 from tests.helpers import interval_green_oracle, random_green_matrix, random_weights
 
 
@@ -168,3 +170,44 @@ def test_riesz_on_grid_diagonal_subdivision():
         errs.append(abs(float(pot @ om.integration_weights) - energy_oracle))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-2
+
+
+def _operator_case(kind: str, rng):
+    """(kernel, omega, targets); the targets are not omega's sites, though
+    Riesz targets include some of them, where the kernel is +inf."""
+    n = int(rng.integers(1, 12))
+    if kind == "matrix":
+        pool = n + int(rng.integers(0, 4))
+        kernel = Kernel.matrix(random_green_matrix(rng, pool))
+        omega = Measure.atomic(rng.choice(pool, size=n, replace=False), random_weights(rng, n))
+        return kernel, omega, rng.choice(pool, size=int(rng.integers(1, pool + 1)))
+    if kind in ("interval_grid", "riesz_grid"):
+        kernel = Kernel.interval1d() if kind == "interval_grid" else Kernel.riesz(0.25, 1)
+        omega = Measure.grid(n, random_weights(rng, n, hi=2.0))
+        # midpoints hit the singular cells; the uniform draws fall anywhere
+        hits = rng.choice(omega.midpoints, size=int(rng.integers(0, n + 1)))
+        return kernel, omega, np.concatenate([rng.uniform(0.01, 0.99, 3), hits])
+    sites = rng.uniform(-1.0, 1.0, (n, 3))
+    omega = Measure.atomic(sites, random_weights(rng, n))
+    hits = sites[rng.choice(n, size=int(rng.integers(0, n + 1)))]
+    return Kernel.riesz(1.0, 3), omega, np.concatenate([rng.uniform(-1.0, 1.0, (2, 3)), hits])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["matrix", "interval_grid", "riesz_grid", "riesz_atoms"]),
+       st.integers(min_value=0, max_value=2**31))
+def test_green_operator_is_the_dense_masked_product(kind, seed):
+    # the contract any faster operator path must meet: bit for bit the
+    # masked weighted sum against the quadrature gram, f = 0 and +inf included
+    rng = np.random.default_rng(seed)
+    kernel, omega, targets = _operator_case(kind, rng)
+    w = omega.integration_weights
+    f = rng.uniform(0.0, 3.0, len(w))
+    f[rng.random(len(w)) < 0.3] = 0.0
+    f[rng.random(len(w)) < 0.2] = np.inf
+    apply = green_operator(kernel, targets, omega)
+    gram = quadrature_gram(kernel, targets, omega)
+    got = apply(f)
+    assert got.shape == (len(targets),)
+    assert got.tobytes() == weighted_sum(gram, masked_mul(w, f)).tobytes()
+    assert apply().tobytes() == apply(np.ones(len(w))).tobytes()

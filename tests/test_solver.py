@@ -322,8 +322,8 @@ class TestOneWorkspace:
         assert len(calls) == builds
 
     def test_a_priori_probe_matches_public_estimate(self):
-        # subset supports make the workspace copy sigma's rows; the grid
-        # uses its gram as it is
+        # the probe applies sigma's operator on the whole evaluation set and
+        # keeps sigma's sites: a subset of it here, every grid cell below
         rng = np.random.default_rng(3)
         G = random_green_matrix(rng, 6)
         subset = Problem(kernel=Kernel.matrix(G), sigma=Measure.atomic([4, 1, 2], [0.5, 1.0, 0.7]),

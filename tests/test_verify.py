@@ -14,6 +14,7 @@ from greenlab import (
     check_iterated,
     check_lower_bound,
     check_relation_chain,
+    cross_energy,
     domain_sites,
     estimate_norm_constant,
     exponent_table,
@@ -368,16 +369,57 @@ def test_reports_are_deterministic():
     assert rep1.instance_digest == rep2.instance_digest
 
 
-@pytest.mark.parametrize("run", [
-    lambda: check_iterated(Kernel.interval1d(), Measure.lebesgue(40), 2.0, h=1.0),
-    lambda: check_iterated(Kernel.riesz(0.25, 1), Measure.lebesgue(40), 0.5, h=1.0),
-    lambda: check_norm_equivalence(K22, OM22, 3.0, 1.5, samples=8),
-    lambda: ibp_check(Kernel.interval1d(), Measure.lebesgue(40), 2.0),
-], ids=["iterated-interval", "iterated-riesz", "norm-equivalence", "ibp"])
-def test_each_check_builds_its_gram_once(monkeypatch, run):
+@pytest.mark.parametrize("run, builds", [
+    (lambda: check_iterated(Kernel.interval1d(), Measure.lebesgue(40), 2.0, h=1.0), 1),
+    (lambda: check_iterated(Kernel.riesz(0.25, 1), Measure.lebesgue(40), 0.5, h=1.0), 1),
+    (lambda: check_norm_equivalence(K22, OM22, 3.0, 1.5, samples=8), 1),
+    (lambda: ibp_check(Kernel.interval1d(), Measure.lebesgue(40), 2.0), 1),
+    (lambda: check_relation_chain(Kernel.interval1d(), Measure.lebesgue(40),
+                                  Measure.grid(40, np.full(40, 0.5)), 0.5, 1.0, h=1.0), 2),
+], ids=["iterated-interval", "iterated-riesz", "norm-equivalence", "ibp", "relation-chain"])
+def test_each_check_builds_its_gram_once(monkeypatch, run, builds):
     calls = count_gram_builds(monkeypatch)
     run()
-    assert len(calls) == 1
+    assert len(calls) == builds
+
+
+def _chain_instance(kind: str, rng):
+    """(kernel, sigma, mu) for the relation chain, including inputs a solver
+    workspace refuses: mixed grid/atomic measures and a zero-mass sigma."""
+    n = int(rng.integers(3, 20))
+    grid = Measure.grid(n, random_weights(rng, n, hi=2.0))
+    if kind == "matrix":
+        k = Kernel.matrix(random_green_matrix(rng, n))
+        sub = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        return k, Measure.atomic(sub, random_weights(rng, len(sub))), \
+            Measure.atomic(np.arange(n)[::-1], random_weights(rng, n, lo=0.05))
+    if kind == "riesz_atoms":
+        sites = rng.uniform(-1.0, 1.0, (n, 3))
+        return Kernel.riesz(1.0, 3), Measure.atomic(sites, random_weights(rng, n)), \
+            Measure.atomic(sites[:2], [0.5, 0.3])
+    atoms = Measure.atomic(rng.uniform(0.01, 0.99, (3, 1)), random_weights(rng, 3, lo=0.05))
+    if kind == "interval_mixed":
+        return Kernel.interval1d(), grid, Measure.atomic(atoms.sites[:, 0], atoms.weights)
+    if kind == "riesz_mixed":  # mu's sites have shape (3, 1), the grid's (n,)
+        return Kernel.riesz(0.25, 1), grid, atoms
+    return Kernel.interval1d(), Measure.grid(n, np.zeros(n)), grid  # zero-mass sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["matrix", "riesz_atoms", "interval_mixed", "riesz_mixed",
+                        "zero_sigma"]),
+       st.integers(min_value=0, max_value=2**31), st.sampled_from([0.25, 0.5, 0.75]),
+       st.floats(min_value=0.3, max_value=2.0))
+def test_relation_chain_integrals_are_cross_energy(kind, seed, q, gamma):
+    kernel, sigma, mu = _chain_instance(kind, np.random.default_rng(seed))
+    rep = check_relation_chain(kernel, sigma, mu, q, gamma, h=1.0)
+    d = rep.details
+    assert d["I_sigma"] == cross_energy(kernel, sigma, (gamma + q) / (1.0 - q), sigma)
+    assert d["I_mu"] == cross_energy(kernel, mu, gamma, mu)
+    if np.isfinite(d["I_sigma"]) and np.isfinite(d["I_mu"]):
+        assert d["I_cross"] == cross_energy(kernel, mu, gamma + q, sigma)
+    else:  # Riesz atoms carry +inf self-potentials
+        assert kind in ("riesz_atoms", "riesz_mixed") and d["status"] == "hypothesis-fail"
 
 
 def test_iterated_sides_are_the_reference_potentials():
