@@ -173,6 +173,8 @@ class Kernel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Kernel":
+        if not isinstance(data, dict):
+            raise ValueError(f"a kernel must be an object, got {type(data).__name__}")
         variant = data.get("variant")
         if variant not in _VARIANTS:
             raise ValueError(f"unknown kernel variant {variant!r}")

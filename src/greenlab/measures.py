@@ -113,6 +113,8 @@ class Measure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Measure":
+        if not isinstance(data, dict):
+            raise ValueError(f"a measure must be an object, got {type(data).__name__}")
         variant = data.get("variant")
         if variant == ATOMIC:
             return cls.atomic(data["sites"], data["weights"])

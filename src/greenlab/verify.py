@@ -30,6 +30,7 @@ from .serialize import digest
 
 REL_TOL_ATOMIC = 1e-12
 REL_TOL_CHAIN = 1e-9
+_HLS_ROWS = 128  # row block of the lattice-proxy distance matrix
 
 
 @dataclass
@@ -399,8 +400,11 @@ def check_hls_condition(alpha: float, n: int, beta: float,
         spans = pts.max(axis=0) - pts.min(axis=0)
         box = float(np.prod(spans[spans > 0])) if np.any(spans > 0) else 1.0
         vol = np.full(omega.size, box / max(omega.size, 1))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    # distances in blocks of rows: (m, m, dim) temporaries would dwarf the gram
+    dist = np.empty((len(pts), len(pts)))
+    for i in range(0, len(pts), _HLS_ROWS):
+        diff = pts[i:i + _HLS_ROWS, None, :] - pts[None, :, :]
+        dist[i:i + _HLS_ROWS] = np.sqrt(np.sum(diff * diff, axis=-1))
     with np.errstate(divide="ignore"):
         gram = np.power(dist, 2.0 * alpha - n)
     np.fill_diagonal(gram, 0.0)  # self-interaction dropped

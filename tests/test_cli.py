@@ -258,7 +258,14 @@ class TestExponents:
                 "gamma": None}),
     ("solve", [1, 2]),
     ("verify", [1, 2]),
-], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list"])
+    ("solve", {**GOLDEN_PROBLEM, "kernel": "interval1d"}),
+    ("solve", {**GOLDEN_PROBLEM, "mu": 5}),
+    ("verify", {"checks": [{"check": "iterated", "kernel": "interval1d", "s": 2.0,
+                            "omega": {"variant": "grid", "n_cells": 4,
+                                      "values": [1, 1, 1, 1]}}]}),
+    ("energy", {"kernel": {"variant": "interval1d"}, "omega": [1, 2], "gamma": 1.0}),
+], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
+        "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err

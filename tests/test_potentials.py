@@ -181,12 +181,11 @@ def _operator_case(kind: str, rng):
         kernel = Kernel.matrix(random_green_matrix(rng, pool))
         omega = Measure.atomic(rng.choice(pool, size=n, replace=False), random_weights(rng, n))
         return kernel, omega, rng.choice(pool, size=int(rng.integers(1, pool + 1)))
-    if kind in ("interval_grid", "riesz_grid"):
-        kernel = Kernel.interval1d() if kind == "interval_grid" else Kernel.riesz(0.25, 1)
+    if kind == "riesz_grid":
         omega = Measure.grid(n, random_weights(rng, n, hi=2.0))
         # midpoints hit the singular cells; the uniform draws fall anywhere
         hits = rng.choice(omega.midpoints, size=int(rng.integers(0, n + 1)))
-        return kernel, omega, np.concatenate([rng.uniform(0.01, 0.99, 3), hits])
+        return Kernel.riesz(0.25, 1), omega, np.concatenate([rng.uniform(0.01, 0.99, 3), hits])
     sites = rng.uniform(-1.0, 1.0, (n, 3))
     omega = Measure.atomic(sites, random_weights(rng, n))
     hits = sites[rng.choice(n, size=int(rng.integers(0, n + 1)))]
@@ -194,11 +193,11 @@ def _operator_case(kind: str, rng):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["matrix", "interval_grid", "riesz_grid", "riesz_atoms"]),
+@given(st.sampled_from(["matrix", "riesz_grid", "riesz_atoms"]),
        st.integers(min_value=0, max_value=2**31))
 def test_green_operator_is_the_dense_masked_product(kind, seed):
-    # the contract any faster operator path must meet: bit for bit the
-    # masked weighted sum against the quadrature gram, f = 0 and +inf included
+    # gram kernels, masked or mask-free: bit for bit the masked weighted
+    # sum against the quadrature gram, f = 0 and +inf included
     rng = np.random.default_rng(seed)
     kernel, omega, targets = _operator_case(kind, rng)
     w = omega.integration_weights
@@ -211,3 +210,63 @@ def test_green_operator_is_the_dense_masked_product(kind, seed):
     assert got.shape == (len(targets),)
     assert got.tobytes() == weighted_sum(gram, masked_mul(w, f)).tobytes()
     assert apply().tobytes() == apply(np.ones(len(w))).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["grid", "atoms"]), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=2**31), st.booleans())
+def test_interval_operator_matches_the_dense_masked_product(kind, n, seed, with_inf):
+    # the prefix-sum path against the dense reference: within 1e-12
+    # relative, +inf in the same places; atoms arrive unsorted
+    rng = np.random.default_rng(seed)
+    kernel = Kernel.interval1d()
+    if kind == "grid":
+        omega = Measure.grid(n, random_weights(rng, n, hi=2.0))
+    else:
+        omega = Measure.atomic(rng.uniform(0.001, 0.999, n), random_weights(rng, n))
+    sites = omega.support_sites
+    targets = np.concatenate([rng.uniform(0.001, 0.999, int(rng.integers(1, 6))),
+                              rng.choice(sites, size=int(rng.integers(0, n + 1)))])
+    w = omega.integration_weights
+    f = rng.uniform(0.0, 3.0, n)
+    f[rng.random(n) < 0.3] = 0.0
+    if with_inf:
+        f[rng.integers(n)] = np.inf
+    apply = green_operator(kernel, targets, omega)
+    for dens in (f, None):
+        got = apply(dens)
+        ref = weighted_sum(quadrature_gram(kernel, targets, omega),
+                           w if dens is None else masked_mul(w, dens))
+        assert got.shape == ref.shape == (len(targets),)
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        fin = np.isfinite(ref)
+        assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-12 * ref[fin])
+
+
+def test_interval_operator_validates_its_sites():
+    kernel = Kernel.interval1d()
+    for bad in ([0.5, 1.0], [0.0], [[0.5]]):
+        with pytest.raises(ValueError):
+            green_operator(kernel, np.array(bad), Measure.lebesgue(4))
+    with pytest.raises(ValueError):
+        green_operator(kernel, [0.5], Measure.atomic([0.2, 1.5], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.25, 0.49])
+@pytest.mark.parametrize("n", [1, 3, 250])
+def test_riesz_singular_cells_match_the_per_target_loop(alpha, n):
+    # reference: each hit target's cell replaced by the mean over 16
+    # sub-midpoints, one Kernel.gram call per target
+    kernel, omega = Kernel.riesz(alpha, 1), Measure.lebesgue(n)
+    mids = omega.midpoints
+    rng = np.random.default_rng(n)
+    targets = np.concatenate([mids, mids + rng.uniform(-1e-12, 1e-12, n),
+                              rng.uniform(0.001, 0.999, 20)])
+    ref = kernel.gram(targets, mids)
+    width = omega.cell_width
+    for i, x in enumerate(targets):
+        j = min(max(int(np.round(x * n - 0.5)), 0), n - 1)
+        if abs(x - (j + 0.5) * width) <= 0.5 * width * (1.0 + 1e-9):
+            sub_mids = (j + (np.arange(16) + 0.5) / 16) * width
+            ref[i, j] = np.mean(kernel.gram([x], sub_mids)[0])
+    assert quadrature_gram(kernel, targets, omega).tobytes() == ref.tobytes()
