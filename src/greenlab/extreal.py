@@ -20,6 +20,9 @@ INF = float("inf")
 # guards residual denominators; avoids 0/0 without distorting any ratio
 TINY = 1e-300
 
+# entries per row block of a dense row-wise computation (2 MB of float64)
+_BLOCK_ENTRIES = 1 << 18
+
 
 def ext_power(values, expo: float) -> np.ndarray:
     """Elementwise ``values**expo`` on [0, inf] with the conventions above."""
@@ -48,6 +51,32 @@ def weighted_sum(gram, weights) -> np.ndarray:
     """
     contrib = masked_mul(gram, weights)
     return np.sum(contrib, axis=-1)
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list:
+    """Slices covering ``range(n_rows)`` in blocks of about 2**18 entries.
+
+    Dense row-wise work done one block at a time keeps every temporary
+    near 2 MB, so a request's memory is its long-lived arrays and does not
+    depend on how the allocator placed earlier temporaries.  Each row is
+    computed as it would be in one piece, so blocking changes no bit.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def finite_row_sums(gram, v) -> np.ndarray:
+    """``np.sum(gram * v, axis=-1)`` one block of rows at a time.
+
+    For finite operands only: with no 0 * inf term the mask of
+    ``weighted_sum`` cannot act, so this gives its bits.
+    """
+    if gram.size <= _BLOCK_ENTRIES:
+        return np.sum(gram * v, axis=-1)
+    out = np.empty(gram.shape[0])
+    for rows in row_blocks(*gram.shape):
+        out[rows] = np.sum(gram[rows] * v, axis=-1)
+    return out
 
 
 def sup_abs(values) -> float:

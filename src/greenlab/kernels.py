@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import weighted_sum
+from .extreal import row_blocks, weighted_sum
 
 MATRIX = "matrix"
 RIESZ = "riesz"
@@ -145,11 +145,15 @@ class Kernel:
         if self.variant == MATRIX:
             return self.values[np.ix_(t, s)]
         if self.variant == RIESZ:
-            diff = t[:, None, :] - s[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
             expo = 2.0 * self.alpha - self.dim  # < 0, so dist 0 -> +inf
-            with np.errstate(divide="ignore"):
-                return np.power(dist, expo)
+            out = np.empty((len(t), len(s)))
+            # by row blocks: one-shot (m, n, dim) temporaries would dwarf the gram
+            for rows in row_blocks(len(t), len(s) * self.dim):
+                diff = t[rows, None, :] - s[None, :, :]
+                dist = np.sqrt(np.sum(diff * diff, axis=-1))
+                with np.errstate(divide="ignore"):
+                    out[rows] = np.power(dist, expo)
+            return out
         return np.minimum.outer(t, s) - np.outer(t, s)
 
     def eval(self, x, y) -> float:

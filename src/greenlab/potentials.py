@@ -14,8 +14,10 @@ is needed there, while a Riesz kernel on a grid gets its singular cell
   sources: O(N log N) set-up, O(N) per apply.
 * matrix and Riesz kernels: the quadrature gram, built once.  When the
   gram and the weighted density are finite the 0 * inf mask cannot act
-  and is skipped; otherwise the masked product runs.  Both give the same
-  bits: the mask only rewrites the NaNs of 0 * inf.
+  and is skipped, and the product runs in blocks of rows
+  (``finite_row_sums``) so no temporary is gram-sized; otherwise the
+  masked product runs.  All give the same bits: the mask only rewrites
+  the NaNs of 0 * inf, and each row sums as it would in one piece.
 
 The dense masked product (``weighted_sum`` against ``quadrature_gram``) is
 the reference every path is tested against.  Everything here is a pure
@@ -29,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .extreal import ext_power, masked_mul, weighted_sum
+from .extreal import ext_power, finite_row_sums, masked_mul, weighted_sum
 from .kernels import INTERVAL, MATRIX, RIESZ, Kernel
 from .measures import GRID, Field, Measure
 
@@ -123,7 +125,7 @@ def green_operator(kernel: Kernel, target_sites, omega: Measure):
     def apply(f=None) -> np.ndarray:
         v = w if f is None else masked_mul(w, f)
         if gram_finite and np.isfinite(v).all():
-            return np.sum(gram * v, axis=-1)
+            return finite_row_sums(gram, v)
         return weighted_sum(gram, v)
 
     return apply

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import grid_derivative, power_integral
-from .extreal import TINY, ext_power, weighted_sum
+from .extreal import TINY, ext_power, row_blocks, weighted_sum
 from .kernels import Kernel, resolve_h, resolve_quasi_symmetry
 from .measures import GRID, Field, Measure, total_mass
 from .potentials import domain_sites, green_operator, max_norm_ratio, site_positions
@@ -30,7 +30,6 @@ from .serialize import digest
 
 REL_TOL_ATOMIC = 1e-12
 REL_TOL_CHAIN = 1e-9
-_HLS_ROWS = 128  # row block of the lattice-proxy distance matrix
 
 
 @dataclass
@@ -400,15 +399,16 @@ def check_hls_condition(alpha: float, n: int, beta: float,
         spans = pts.max(axis=0) - pts.min(axis=0)
         box = float(np.prod(spans[spans > 0])) if np.any(spans > 0) else 1.0
         vol = np.full(omega.size, box / max(omega.size, 1))
-    # distances in blocks of rows: (m, m, dim) temporaries would dwarf the gram
-    dist = np.empty((len(pts), len(pts)))
-    for i in range(0, len(pts), _HLS_ROWS):
-        diff = pts[i:i + _HLS_ROWS, None, :] - pts[None, :, :]
-        dist[i:i + _HLS_ROWS] = np.sqrt(np.sum(diff * diff, axis=-1))
-    with np.errstate(divide="ignore"):
-        gram = np.power(dist, 2.0 * alpha - n)
-    np.fill_diagonal(gram, 0.0)  # self-interaction dropped
-    pot = weighted_sum(gram, w)
+    # the potential by blocks of rows, so no (m, m) gram is ever held
+    m = len(pts)
+    pot = np.empty(m)
+    for rows in row_blocks(m, m * pts.shape[1]):
+        diff = pts[rows, None, :] - pts[None, :, :]
+        with np.errstate(divide="ignore"):
+            gram = np.power(np.sqrt(np.sum(diff * diff, axis=-1)), 2.0 * alpha - n)
+        own = np.arange(rows.start, min(rows.stop, m))
+        gram[own - rows.start, own] = 0.0  # self-interaction dropped
+        pot[rows] = weighted_sum(gram, w)
     energy = float(weighted_sum(ext_power(pot, beta), w))
     density = np.where(vol > 0, w / vol, 0.0)
     ls_norm = float(ext_power(float(np.sum(ext_power(density, s) * vol)), 1.0 / s))

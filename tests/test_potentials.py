@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlab import Kernel, Measure, iterated_potential, potential
-from greenlab.extreal import masked_mul, weighted_sum
+from greenlab import extreal
+from greenlab.extreal import masked_mul, row_blocks, weighted_sum
 from greenlab.potentials import green_operator, quadrature_gram
 from tests.helpers import interval_green_oracle, random_green_matrix, random_weights
 
@@ -210,6 +213,33 @@ def test_green_operator_is_the_dense_masked_product(kind, seed):
     assert got.shape == (len(targets),)
     assert got.tobytes() == weighted_sum(gram, masked_mul(w, f)).tobytes()
     assert apply().tobytes() == apply(np.ones(len(w))).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["matrix", "riesz_grid", "riesz_atoms"]),
+       st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=40))
+def test_row_blocks_change_no_bit(kind, seed, entries):
+    # every case fits one default block, so the reference is the one-shot
+    # computation; with 1..40 entries per block the gram and the product
+    # are built one or a few rows at a time
+    rng = np.random.default_rng(seed)
+    kernel, omega, targets = _operator_case(kind, rng)
+    f = rng.uniform(0.5, 3.0, omega.size)
+    whole = quadrature_gram(kernel, targets, omega)
+    with mock.patch.object(extreal, "_BLOCK_ENTRIES", entries):
+        gram = quadrature_gram(kernel, targets, omega)
+        got = green_operator(kernel, targets, omega)(f)
+    assert gram.tobytes() == whole.tobytes()
+    assert got.tobytes() == weighted_sum(whole, masked_mul(omega.integration_weights, f)).tobytes()
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(0, 5), (1, 10**6), (7, 3), (1000, 1), (2**10, 2**9)])
+def test_row_blocks_cover_the_rows_in_order(n_rows, n_cols):
+    blocks = row_blocks(n_rows, n_cols)
+    assert np.array_equal(np.concatenate([np.arange(n_rows)[b] for b in blocks] + [[]]),
+                          np.arange(n_rows))
+    for b in blocks:
+        assert b.stop - b.start == 1 or (b.stop - b.start) * n_cols <= 2**18
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from greenlab import (
     potential,
     solve,
 )
+from greenlab import extreal
 from tests.helpers import (
     brute_force_norm_constant,
     count_gram_builds,
@@ -354,10 +357,12 @@ class TestHls:
         rep = check_hls_condition(1.0, 3, 1.0, om)
         assert rep.passed
 
+    @pytest.mark.parametrize("entries", [2**18, 500])
     @pytest.mark.parametrize("m, dim", [(300, 3), (129, 9)])
-    def test_energy_is_the_one_shot_pairwise_sum(self, m, dim):
-        # distances are built in row blocks; the reference builds the whole
-        # (m, m, dim) difference array at once, for any dimension
+    def test_energy_is_the_one_shot_pairwise_sum(self, m, dim, entries):
+        # the potential is built in row blocks (one row per block at 500
+        # entries); the reference builds the whole (m, m, dim) difference
+        # array at once, for any dimension
         rng = np.random.default_rng(m)
         pts, w = rng.uniform(-1.0, 1.0, (m, dim)), rng.uniform(0.0, 1.0, m)
         diff = pts[:, None, :] - pts[None, :, :]
@@ -365,7 +370,8 @@ class TestHls:
             gram = np.sqrt(np.sum(diff * diff, axis=-1)) ** (2.0 * 1.2 - dim)
         np.fill_diagonal(gram, 0.0)
         energy = np.sum(w * np.sum(gram * w, axis=-1))
-        rep = check_hls_condition(1.2, dim, 1.0, Measure.atomic(pts, w))
+        with mock.patch.object(extreal, "_BLOCK_ENTRIES", entries):
+            rep = check_hls_condition(1.2, dim, 1.0, Measure.atomic(pts, w))
         assert rep.details["energy"] == energy
 
     def test_parameter_validation(self):
