@@ -23,7 +23,7 @@ from .kernels import INTERVAL, Kernel, resolve_h
 from .measures import GRID, Field, Measure
 from .potentials import potential_values
 from .serialize import dumps, write_csv, write_field_csv
-from .solver import DEFAULT_TOL_ATOMIC, Problem, minimality_probe, solve
+from .solver import DEFAULT_TOL_ATOMIC, Problem, a_priori_check, minimality_probe, solve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,17 +71,23 @@ def _cmd_solve(args) -> int:
     try:
         problem = Problem.from_dict(data)
     except (KeyError, TypeError) as exc:
-        raise InputError(f"problem file is missing a field: {exc}") from exc
+        raise InputError(f"problem file has a missing or malformed field: {exc}") from exc
     del data  # the parsed input, matrix and all, is not needed past here
     tol = args.tol if args.tol is not None else problem.default_tol()
     report = solve(problem, tol=tol, max_iter=args.max_iter,
                    keep_history=args.history)
+    a_priori = (a_priori_check(problem, report)
+                if report.converged and not problem.mu_is_zero else None)
     out = _base_report("solve", {
         "input": args.input, "tol": tol, "max_iter": args.max_iter,
         "seed": args.seed, "history": bool(args.history),
         "problem": problem.to_dict(),
     })
-    out["result"] = result = report.to_dict()
+    out["result"] = result = {}
+    for key, value in report.to_dict().items():
+        result[key] = value
+        if key == "diagnostic":  # reports keep the a priori check right after it
+            result["a_priori"] = a_priori
     if report.converged and args.probe_scale is not None:
         out["minimality_probe"] = minimality_probe(problem, report, args.probe_scale,
                                                    tol=tol)

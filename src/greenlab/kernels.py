@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import row_blocks, weighted_sum
+from .extreal import finite_row_sums, row_blocks
 
 MATRIX = "matrix"
 RIESZ = "riesz"
@@ -145,14 +145,9 @@ class Kernel:
         if self.variant == MATRIX:
             return self.values[np.ix_(t, s)]
         if self.variant == RIESZ:
-            expo = 2.0 * self.alpha - self.dim  # < 0, so dist 0 -> +inf
             out = np.empty((len(t), len(s)))
-            # by row blocks: one-shot (m, n, dim) temporaries would dwarf the gram
-            for rows in row_blocks(len(t), len(s) * self.dim):
-                diff = t[rows, None, :] - s[None, :, :]
-                dist = np.sqrt(np.sum(diff * diff, axis=-1))
-                with np.errstate(divide="ignore"):
-                    out[rows] = np.power(dist, expo)
+            for rows, block in distance_powers(t, s, 2.0 * self.alpha - self.dim):
+                out[rows] = block
             return out
         return np.minimum.outer(t, s) - np.outer(t, s)
 
@@ -190,6 +185,15 @@ class Kernel:
             declared_h=data.get("declared_h"),
             declared_a=data.get("declared_a"),
         )
+
+
+def distance_powers(targets: np.ndarray, sources: np.ndarray, expo: float):
+    """Yield ``(rows, |x_i - y_j|**expo)`` by blocks of target rows (+inf at
+    distance 0 for expo < 0); one (m, n, dim) temporary would dwarf the result."""
+    for rows in row_blocks(len(targets), len(sources) * targets.shape[1]):
+        diff = targets[rows, None, :] - sources[None, :, :]
+        with np.errstate(divide="ignore"):
+            yield rows, np.power(np.sqrt(np.sum(diff * diff, axis=-1)), expo)
 
 
 def estimate_quasi_symmetry(kernel: Kernel) -> float:
@@ -252,7 +256,7 @@ def estimate_wmp_constant(kernel: Kernel, samples: int = 64, seed: int = 0) -> f
         w = np.where(mask, rng.random(n), 0.0)
         if not w.any():
             w[int(rng.integers(n))] = 1.0
-        pot = weighted_sum(G, w)
+        pot = finite_row_sums(G, w)  # entries and probes are finite: no 0 * inf
         on_supp = float(pot[w > 0.0].max())
         if on_supp > 0.0 and np.isfinite(on_supp):
             h = max(h, float(pot.max()) / on_supp)

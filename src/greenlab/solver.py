@@ -19,7 +19,7 @@ half of the existence theory, no solution exists there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,19 +46,18 @@ class Problem:
     mu: Optional[Measure] = None
     q: float = 0.5
     gamma: float = 1.0
-    h: Optional[float] = None
+    h: InitVar[Optional[float]] = None  # declared WMP constant; read back as ``Problem.h``
 
-    def __post_init__(self):
+    def __post_init__(self, h):
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
         if not self.gamma > 0.0:
             raise ValueError("gamma must be > 0")
         if total_mass(self.sigma) <= 0.0:
             raise ValueError("sigma must not vanish identically")
-        if self.h is None:
-            self.h = resolve_h(self.kernel)
-        if not self.h >= 1.0:
+        if h is not None and not h >= 1.0:
             raise ValueError("h must be >= 1")
+        self._h = h
 
     @property
     def mu_is_zero(self) -> bool:
@@ -70,7 +69,7 @@ class Problem:
 
     def to_dict(self) -> dict:
         out = {"kernel": self.kernel.to_dict(), "sigma": self.sigma.to_dict(),
-               "q": self.q, "gamma": self.gamma, "h": self.h}
+               "q": self.q, "gamma": self.gamma, "h": self._h}
         if self.mu is not None:
             out["mu"] = self.mu.to_dict()
         return out
@@ -88,37 +87,41 @@ class Problem:
         )
 
 
+def _problem_h(self: Problem) -> float:
+    """The declared WMP constant, else ``resolve_h(kernel)``, run on first read and kept."""
+    if self._h is None:
+        self._h = resolve_h(self.kernel)
+    return self._h
+
+
+# set once the dataclass is built, so ``h=None`` stays the __init__ default
+Problem.h = property(_problem_h)
+
+
 @dataclass
 class SolveReport:
-    problem: Problem
+    """The iterate of one solve and the workspace (sites, positions, G mu) it was computed on."""
+
     converged: bool
     iterations: int
     u_values: np.ndarray
-    eval_sites: np.ndarray
     residual_sup: float
     monotone_ok: bool
     condition_integrals: dict
-    sigma_pos: np.ndarray
-    mu_pos: Optional[np.ndarray] = None
-    gmu_values: Optional[np.ndarray] = None
+    workspace: "_Workspace" = field(repr=False, compare=False)
     diagnostic: Optional[str] = None
-    a_priori: Optional[dict] = None
     history: list = field(default_factory=list)
-    # the operators the run used, for the probes; never serialized
-    workspace: Optional["_Workspace"] = field(default=None, repr=False, compare=False)
+
+    @property
+    def problem(self) -> Problem:
+        return self.workspace.problem
 
     def u_on_sigma(self) -> Field:
-        return Field(self.problem.sigma, self.u_values[self.sigma_pos])
+        return Field(self.problem.sigma, self.u_values[self.workspace.sigma_pos])
 
     def u_on_mu(self) -> Optional[Field]:
-        if self.mu_pos is None or self.problem.mu is None:
-            return None
-        return Field(self.problem.mu, self.u_values[self.mu_pos])
-
-    def gmu_on_sigma(self) -> Field:
-        vals = (self.gmu_values[self.sigma_pos] if self.gmu_values is not None
-                else np.zeros(len(self.sigma_pos)))
-        return Field(self.problem.sigma, vals)
+        pos = self.workspace.mu_pos
+        return None if pos is None else Field(self.problem.mu, self.u_values[pos])
 
     def norms(self) -> dict:
         p = self.problem
@@ -127,7 +130,7 @@ class SolveReport:
             out["L_gamma_mu"] = lp_norm(self.u_on_mu(), p.gamma, p.mu)
         return out
 
-    def to_dict(self, include_field: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "converged": self.converged,
             "iterations": self.iterations,
@@ -135,13 +138,11 @@ class SolveReport:
             "monotone_ok": self.monotone_ok,
             "condition_integrals": dict(self.condition_integrals),
             "diagnostic": self.diagnostic,
-            "a_priori": self.a_priori,
         }
         if self.converged:
             out["norms"] = self.norms()
-        if include_field:
-            out["sites"] = np.asarray(self.eval_sites).tolist()
-            out["u"] = self.u_values.tolist()
+        out["sites"] = np.asarray(self.workspace.eval_sites).tolist()
+        out["u"] = self.u_values.tolist()
         if self.history:
             out["history"] = self.history
         return out
@@ -156,11 +157,7 @@ class _Workspace:
     """
 
     def __init__(self, problem: Problem):
-        p = problem
-        if p.sigma.variant == GRID or (p.mu is not None and p.mu.variant == GRID):
-            if p.sigma.variant != GRID or (p.mu is not None and p.mu.variant != GRID):
-                raise ValueError("sigma and mu must share one discretization")
-        self.problem = p
+        self.problem = p = problem
         self.eval_sites = domain_sites(p.kernel, p.sigma, p.mu)
         self.sigma_pos = site_positions(self.eval_sites, p.sigma.support_sites)
         self.op_sigma = green_operator(p.kernel, self.eval_sites, p.sigma)
@@ -248,14 +245,12 @@ def _iterate(ws: _Workspace, u0: np.ndarray, tol: float, max_iter: int,
 
 
 def solve(problem: Problem, tol: Optional[float] = None,
-          max_iter: int = DEFAULT_MAX_ITER, keep_history: bool = False,
-          c_est: Optional[float] = None) -> SolveReport:
+          max_iter: int = DEFAULT_MAX_ITER, keep_history: bool = False) -> SolveReport:
     """Iterate u_{j+1} = G(u_j^q d sigma) + G mu from a monotone start:
     u0 = kappa * (G sigma)^(1/(1-q)) when mu vanishes, else u0 = G mu.
 
-    When mu does not vanish and the run converges, the a priori norm bound
-    is evaluated with ``c_est`` (an estimate of the weighted-norm
-    constant; probed with the workspace's sigma operator if not supplied).
+    Only the homogeneous start reads ``problem.h``.  No a priori bound is
+    evaluated here: ``a_priori_check`` does that on the report's workspace.
     """
     p = problem
     tol = p.default_tol() if tol is None else tol
@@ -270,39 +265,39 @@ def solve(problem: Problem, tol: Optional[float] = None,
         start, u0 = ws.gmu, ws.gmu.copy()
         blocked = np.isinf(conditions["I_sigma"]) or not np.all(np.isfinite(ws.gmu))
         why = "I_sigma or G mu is infinite"
-    common = dict(problem=p, eval_sites=ws.eval_sites, condition_integrals=conditions,
-                  sigma_pos=ws.sigma_pos, mu_pos=ws.mu_pos, gmu_values=ws.gmu,
-                  workspace=ws)
     if blocked:
         return SolveReport(converged=False, iterations=0, u_values=start,
                            residual_sup=float("inf"), monotone_ok=True,
-                           diagnostic="necessary condition violated: " + why, **common)
+                           condition_integrals=conditions, workspace=ws,
+                           diagnostic="necessary condition violated: " + why)
     u, conv, its, resid, mono, diag, hist = _iterate(ws, u0, tol, max_iter, keep_history)
-    report = SolveReport(converged=conv, iterations=its, u_values=u, residual_sup=resid,
-                         monotone_ok=mono, diagnostic=diag, history=hist, **common)
-    if report.converged and not p.mu_is_zero:
-        if c_est is None:
-            c_est = max_norm_ratio(lambda f: ws.op_sigma(f)[ws.sigma_pos], ws.w_sigma,
-                                   ws.gsigma[ws.sigma_pos], p=(p.gamma + p.q) / p.q,
-                                   r=p.gamma + p.q, samples=A_PRIORI_SAMPLES, seed=0)
-        report.a_priori = a_priori_check(p, report, c_est)
-    return report
+    return SolveReport(converged=conv, iterations=its, u_values=u, residual_sup=resid,
+                       monotone_ok=mono, condition_integrals=conditions, workspace=ws,
+                       diagnostic=diag, history=hist)
 
 
-def a_priori_check(problem: Problem, report: SolveReport, c_est: float) -> dict:
+def a_priori_check(problem: Problem, report: SolveReport,
+                   c_est: Optional[float] = None) -> dict:
     """Check the explicit iterate bound in L^(gamma+q)(sigma).
 
     norm(u) <= (C*c)^(1/(1-q)) + c/(1-q) * norm(G mu), where
     c = max(1, 2^((1-gamma-q)/(gamma+q))) comes from the quasi-triangle
-    inequality of the norm; gamma+q >= 1 forces c = 1.
+    inequality of the norm; gamma+q >= 1 forces c = 1.  ``c_est`` estimates
+    the ((gamma+q)/q, gamma+q) weighted-norm constant C of sigma; if omitted,
+    it is probed on the report's workspace, building no operator: sigma's
+    operator on sigma's sites, ``A_PRIORI_SAMPLES`` densities, seed 0.
     """
     if not report.converged:
         raise ValueError("a priori bound is only meaningful for a converged run")
-    p = problem
+    p, ws = problem, report.workspace
     r_exp = p.gamma + p.q
+    if c_est is None:
+        c_est = max_norm_ratio(lambda f: ws.op_sigma(f)[ws.sigma_pos], ws.w_sigma,
+                               ws.gsigma[ws.sigma_pos], p=r_exp / p.q, r=r_exp,
+                               samples=A_PRIORI_SAMPLES, seed=0)
     c = max(1.0, 2.0 ** ((1.0 - r_exp) / r_exp))
     norm_u = lp_norm(report.u_on_sigma(), r_exp, p.sigma)
-    norm_gmu = lp_norm(report.gmu_on_sigma(), r_exp, p.sigma)
+    norm_gmu = lp_norm(Field(p.sigma, ws.gmu[ws.sigma_pos]), r_exp, p.sigma)
     bound = (c_est * c) ** (1.0 / (1.0 - p.q)) + c / (1.0 - p.q) * norm_gmu
     return {
         "bound_value": float(bound),
@@ -326,11 +321,9 @@ def minimality_probe(problem: Problem, report: SolveReport, v0_scale: float,
         raise ValueError("v0_scale must exceed 1")
     if not report.converged:
         raise ValueError("probe needs a converged base solution")
-    p = problem
-    tol = p.default_tol() if tol is None else tol
-    ws = report.workspace or _Workspace(p)
+    tol = problem.default_tol() if tol is None else tol
     v0 = v0_scale * (report.u_values + 1.0)
-    v, conv, its, resid, _, diag, _ = _iterate(ws, v0, tol, max_iter, False)
+    v, conv, its, resid, _, diag, _ = _iterate(report.workspace, v0, tol, max_iter, False)
     gap = sup_abs(v - report.u_values) if conv else float("inf")
     return {
         "agrees": bool(conv and gap < 10.0 * tol),

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .energy import grid_derivative, power_integral
-from .extreal import TINY, ext_power, row_blocks, weighted_sum
-from .kernels import Kernel, resolve_h, resolve_quasi_symmetry
+from .extreal import TINY, ext_power, weighted_sum
+from .kernels import Kernel, distance_powers, resolve_h, resolve_quasi_symmetry
 from .measures import GRID, Field, Measure, total_mass
 from .potentials import domain_sites, green_operator, max_norm_ratio, site_positions
 from .serialize import digest
@@ -402,10 +402,7 @@ def check_hls_condition(alpha: float, n: int, beta: float,
     # the potential by blocks of rows, so no (m, m) gram is ever held
     m = len(pts)
     pot = np.empty(m)
-    for rows in row_blocks(m, m * pts.shape[1]):
-        diff = pts[rows, None, :] - pts[None, :, :]
-        with np.errstate(divide="ignore"):
-            gram = np.power(np.sqrt(np.sum(diff * diff, axis=-1)), 2.0 * alpha - n)
+    for rows, gram in distance_powers(pts, pts, 2.0 * alpha - n):
         own = np.arange(rows.start, min(rows.stop, m))
         gram[own - rows.start, own] = 0.0  # self-interaction dropped
         pot[rows] = weighted_sum(gram, w)

@@ -170,7 +170,7 @@ def test_criterion_6_a_priori_bound():
         else:
             c_est = estimate_norm_constant(kernel, sigma, p_exp, r_exp,
                                            samples=16, seed=1)
-        rep = solve(problem, c_est=c_est)
+        rep = solve(problem)
         if not rep.converged:
             if n <= 3:
                 gated_failures += 1

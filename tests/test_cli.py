@@ -39,6 +39,9 @@ class TestSolve:
         assert rep["result"]["converged"] is True
         assert rep["result"]["u"][0] == pytest.approx((3 + np.sqrt(5)) / 2, abs=1e-9)
         assert rep["config"]["problem"]["q"] == 0.5
+        # mu != 0: the a priori bound is reported, and nothing read h
+        assert rep["result"]["a_priori"]["satisfied"] is True
+        assert rep["config"]["problem"]["h"] is None
 
     def test_homogeneous_file(self, tmp_path):
         problem = {
@@ -49,7 +52,47 @@ class TestSolve:
         inp = write(tmp_path, "p.json", problem)
         out = str(tmp_path / "r.json")
         assert main(["solve", inp, "--out", out]) == 0
-        assert load_report(out)["result"]["u"][0] == pytest.approx(36.0, abs=1e-9)
+        rep = load_report(out)
+        assert rep["result"]["u"][0] == pytest.approx(36.0, abs=1e-9)
+        # mu = 0: no a priori bound; h is the one the start used
+        assert rep["result"]["a_priori"] is None
+        assert rep["config"]["problem"]["h"] == 1.0
+
+    def test_zero_diagonal_matrix(self, tmp_path, capsys):
+        # the WMP scan is undefined on a zero diagonal, and only the
+        # homogeneous start needs h
+        both = {"variant": "atomic", "sites": [0, 1], "weights": [1.0, 1.0]}
+        problem = {"kernel": {"variant": "matrix", "values": [[0.0, 1.0], [1.0, 0.0]]},
+                   "sigma": both, "mu": both, "q": 0.5}
+        out = str(tmp_path / "r.json")
+        assert main(["solve", write(tmp_path, "inh.json", problem), "--out", out]) == 0
+        assert load_report(out)["result"]["u"] == pytest.approx([(3 + np.sqrt(5)) / 2] * 2,
+                                                               abs=1e-9)
+        del problem["mu"]
+        assert main(["solve", write(tmp_path, "hom.json", problem)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: WMP scan undefined") and len(err.splitlines()) == 1
+
+    def test_deterministic_modulo_timestamp(self, tmp_path):
+        problem = {"kernel": {"variant": "matrix",
+                              "values": [[2.0, 0.5, 0.2], [0.4, 1.5, 0.3], [0.1, 0.6, 1.8]]},
+                   "sigma": {"variant": "atomic", "sites": [0, 1, 2], "weights": [1.0, 0.5, 2.0]},
+                   "mu": {"variant": "atomic", "sites": [2, 0], "weights": [0.3, 0.7]},
+                   "q": 0.5, "gamma": 0.75}
+        inp = write(tmp_path, "p.json", problem)
+        texts = []
+        for name in ("r1", "r2"):
+            out = tmp_path / f"{name}.json"
+            assert main(["solve", inp, "--history", "--probe-scale", "2.0",
+                         "--out", str(out)]) == 0
+            texts.append([out.read_text()] + [out.with_suffix(suffix).read_text()
+                                              for suffix in (".history.csv", ".field.csv")])
+        strip = lambda text: re.sub(r'^\s*"timestamp": .*$', "", text, flags=re.M)
+        (t1, *csv1), (t2, *csv2) = texts
+        assert t1 != t2  # the timestamps differ ...
+        assert strip(t1) == strip(t2) and csv1 == csv2  # ... and nothing else does
+        rep = json.loads(t1)
+        assert rep["result"]["a_priori"]["satisfied"] and rep["minimality_probe"]["agrees"]
 
     def test_malformed_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -252,24 +295,31 @@ class TestExponents:
         assert main(["exponents", "--n", "3", "--p", "3.0", "--q", "0.5"]) == 2
 
 
-@pytest.mark.parametrize("command, payload", [
+@pytest.mark.parametrize("command, payload, message", [
     ("energy", {"kernel": {"variant": "interval1d"},
                 "omega": {"variant": "grid", "n_cells": 4, "values": [1, 1, 1, 1]},
-                "gamma": None}),
-    ("solve", [1, 2]),
-    ("verify", [1, 2]),
-    ("solve", {**GOLDEN_PROBLEM, "kernel": "interval1d"}),
-    ("solve", {**GOLDEN_PROBLEM, "mu": 5}),
+                "gamma": None}, "energy file has a missing or malformed field: "),
+    ("solve", [1, 2], "must hold a JSON object, got list"),
+    ("verify", [1, 2], "must hold a JSON object, got list"),
+    ("solve", {**GOLDEN_PROBLEM, "kernel": "interval1d"}, "a kernel must be an object"),
+    ("solve", {**GOLDEN_PROBLEM, "mu": 5}, "a measure must be an object"),
     ("verify", {"checks": [{"check": "iterated", "kernel": "interval1d", "s": 2.0,
                             "omega": {"variant": "grid", "n_cells": 4,
-                                      "values": [1, 1, 1, 1]}}]}),
-    ("energy", {"kernel": {"variant": "interval1d"}, "omega": [1, 2], "gamma": 1.0}),
+                                      "values": [1, 1, 1, 1]}}]},
+     "bad manifest entry 'iterated': a kernel must be an object"),
+    ("energy", {"kernel": {"variant": "interval1d"}, "omega": [1, 2], "gamma": 1.0},
+     "a measure must be an object"),
+    ("solve", {**GOLDEN_PROBLEM, "sigma": {"variant": "atomic", "sites": [None, 1],
+                                           "weights": [1.0, 1.0]}},
+     "problem file has a missing or malformed field: "),
 ], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
-        "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega"])
-def test_malformed_input_exits_two(tmp_path, capsys, command, payload):
+        "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
+        "solve-null-site"])
+def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
     assert "Traceback" not in err
 
 

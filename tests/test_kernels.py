@@ -7,8 +7,29 @@ from greenlab import (
     Kernel,
     estimate_quasi_symmetry,
     estimate_wmp_constant,
+    extreal,
 )
+from greenlab.extreal import weighted_sum
 from tests.helpers import interval_green_oracle
+
+
+def wmp_reference(G: np.ndarray, samples: int, seed: int) -> float:
+    """The WMP scan with every probe applied as the masked product on the
+    whole matrix, the reference the unmasked row sums must equal."""
+    n = G.shape[0]
+    diag = np.diag(G)
+    h = float(max(1.0, (G / diag[None, :]).max()))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        mask = rng.random(n) < 0.5
+        w = np.where(mask, rng.random(n), 0.0)
+        if not w.any():
+            w[int(rng.integers(n))] = 1.0
+        pot = weighted_sum(G, w)
+        on_supp = float(pot[w > 0.0].max())
+        if on_supp > 0.0 and np.isfinite(on_supp):
+            h = max(h, float(pot.max()) / on_supp)
+    return h
 
 
 class TestEval:
@@ -121,6 +142,25 @@ class TestWmpConstant:
         k = Kernel.matrix(G)
         vals = [estimate_wmp_constant(k, samples=s, seed=3) for s in (1, 4, 16, 64)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n", [3, 50, 511, 513])
+    def test_probes_match_the_masked_product(self, monkeypatch, n):
+        # random nonsymmetric matrices (rows scaled apart, some zero
+        # entries) on both sides of the 2^18-entry block (511^2 < 2^18 <
+        # 513^2); each diagonal is its column's max, so the single-atom scan
+        # gives 1 and from n = 50 the probes set h.  They run no masked
+        # product and give the reference's bits.
+        rng = np.random.default_rng(n)
+        G = (rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.8)
+             * rng.uniform(0.1, 10.0, n)[:, None])
+        np.fill_diagonal(G, 0.0)
+        np.fill_diagonal(G, np.maximum(G.max(axis=0), 0.1))
+        expected = wmp_reference(G, samples=16, seed=5)
+        assert expected > 1.0 or n < 50
+        masked = []
+        monkeypatch.setattr(extreal, "masked_mul", lambda *a: masked.append(1))
+        assert estimate_wmp_constant(Kernel.matrix(G), samples=16, seed=5) == expected
+        assert not masked
 
 
 class TestRieszScaling:

@@ -85,7 +85,7 @@ class TestLowerBound:
             sigma = Measure.atomic(np.arange(n), random_weights(rng, n))
             mu = Measure.atomic(np.arange(n), random_weights(rng, n, lo=0.05))
             p = Problem(kernel=k, sigma=sigma, mu=mu, q=0.5, h=1.0)
-            rep_solve = solve(p, c_est=1.0)
+            rep_solve = solve(p)
             assert rep_solve.converged
             rep = check_lower_bound(k, sigma, 0.5, rep_solve.u_on_sigma(), h=1.0)
             assert rep.passed
