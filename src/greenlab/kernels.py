@@ -160,7 +160,7 @@ class Kernel:
     def to_dict(self) -> dict:
         out = {"variant": self.variant}
         if self.variant == MATRIX:
-            out["values"] = self.values.tolist()
+            out["values"] = self.values
         if self.variant == RIESZ:
             out["alpha"] = self.alpha
             out["dim"] = self.dim

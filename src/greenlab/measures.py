@@ -42,6 +42,8 @@ class Measure:
             uniq = np.unique(sites, axis=0) if sites.ndim > 1 else np.unique(sites)
             if len(uniq) != len(sites):
                 raise ValueError("atomic sites must be distinct")
+            if sites.dtype.kind not in "biuf":
+                raise ValueError("atomic sites must be numbers")
             self.sites = sites
             self.weights = weights
         elif self.variant == GRID:
@@ -107,9 +109,8 @@ class Measure:
 
     def to_dict(self) -> dict:
         if self.variant == ATOMIC:
-            return {"variant": ATOMIC, "sites": np.asarray(self.sites).tolist(),
-                    "weights": self.weights.tolist()}
-        return {"variant": GRID, "n_cells": self.n_cells, "values": self.values.tolist()}
+            return {"variant": ATOMIC, "sites": self.sites, "weights": self.weights}
+        return {"variant": GRID, "n_cells": self.n_cells, "values": self.values}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Measure":

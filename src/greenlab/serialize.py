@@ -1,4 +1,4 @@
-"""JSON plumbing: non-finite floats, numpy scalars, stable digests."""
+"""JSON plumbing: non-finite floats, numpy scalars, stable digests, array echoes."""
 
 from __future__ import annotations
 
@@ -49,6 +49,18 @@ def from_jsonable(x):
 
 def dumps(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2)
+
+
+def echo(obj):
+    """``obj`` with every array replaced by ``{"shape", "sha256"}``, the hex
+    SHA-256 of its C-order little-endian float64 bytes: how a report
+    names an input array without repeating it."""
+    if isinstance(obj, dict):
+        return {k: echo(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        data = np.ascontiguousarray(obj, dtype="<f8")  # hashlib reads its buffer directly
+        return {"shape": list(obj.shape), "sha256": hashlib.sha256(data).hexdigest()}
+    return obj
 
 
 def digest(obj, length: int = 12) -> str:

@@ -59,16 +59,12 @@ class VerifyReport:
 def _digest_inputs(**kwargs) -> str:
     payload = {}
     for key, val in kwargs.items():
-        if isinstance(val, Kernel):
-            payload[key] = val.to_dict()
-        elif isinstance(val, Measure):
+        if isinstance(val, (Kernel, Measure)):
             payload[key] = val.to_dict()
         elif isinstance(val, Field):
-            payload[key] = val.values.tolist()
-        elif isinstance(val, np.ndarray):
-            payload[key] = val.tolist()
+            payload[key] = val.values
         else:
-            payload[key] = val
+            payload[key] = val  # arrays are listed by ``digest``
     return digest(payload)
 
 

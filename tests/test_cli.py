@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import greenlab
+from greenlab import Problem, a_priori_check, solve
 from greenlab.cli import main
+from greenlab.serialize import jsonable
 
 GOLDEN_PROBLEM = {
     "kernel": {"variant": "matrix", "values": [[1.0]]},
@@ -28,6 +31,26 @@ def write(tmp_path, name, payload):
 
 def load_report(path):
     return json.loads(open(path).read())
+
+
+def echoed(array):
+    """How a report names an input array: its shape and the SHA-256 of its float64 bytes."""
+    values = np.asarray(array, dtype=float)
+    return {"shape": list(values.shape), "sha256": hashlib.sha256(values.tobytes()).hexdigest()}
+
+
+def strip_timestamp(text):
+    return re.sub(r'^\s*"timestamp": .*$', "", text, flags=re.M)
+
+
+def matrix_problem(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return {"kernel": {"variant": "matrix", "values": rng.uniform(0.1, 1.0, (n, n)).tolist()},
+            "sigma": {"variant": "atomic", "sites": list(range(n)),
+                      "weights": rng.uniform(0.0, 1.0 / n, n).tolist()},
+            "mu": {"variant": "atomic", "sites": list(range(0, n, 2)),
+                   "weights": rng.uniform(0.0, 1.0, len(range(0, n, 2))).tolist()},
+            "q": 0.5, "gamma": 0.75}
 
 
 class TestSolve:
@@ -87,12 +110,44 @@ class TestSolve:
                          "--out", str(out)]) == 0
             texts.append([out.read_text()] + [out.with_suffix(suffix).read_text()
                                               for suffix in (".history.csv", ".field.csv")])
-        strip = lambda text: re.sub(r'^\s*"timestamp": .*$', "", text, flags=re.M)
         (t1, *csv1), (t2, *csv2) = texts
         assert t1 != t2  # the timestamps differ ...
-        assert strip(t1) == strip(t2) and csv1 == csv2  # ... and nothing else does
+        # ... and nothing else does
+        assert strip_timestamp(t1) == strip_timestamp(t2) and csv1 == csv2
         rep = json.loads(t1)
         assert rep["result"]["a_priori"]["satisfied"] and rep["minimality_probe"]["agrees"]
+
+    def test_config_echoes_arrays_by_shape_and_digest(self, tmp_path):
+        problem = matrix_problem(5)
+        out = str(tmp_path / "r.json")
+        assert main(["solve", write(tmp_path, "p.json", problem), "--out", out]) == 0
+        config = load_report(out)["config"]["problem"]
+        assert config["kernel"] == {"variant": "matrix",
+                                    "values": echoed(problem["kernel"]["values"])}
+        for key in ("sigma", "mu"):
+            assert config[key] == {"variant": "atomic",
+                                   "sites": echoed(problem[key]["sites"]),
+                                   "weights": echoed(problem[key]["weights"])}
+        assert config["kernel"]["values"]["shape"] == [5, 5]
+        assert (config["q"], config["gamma"], config["h"]) == (0.5, 0.75, None)
+
+    def test_result_is_the_solve_report(self, tmp_path):
+        # the echo moves no result field: ``result`` is the solver's own report
+        payload = matrix_problem(6, seed=3)
+        out = str(tmp_path / "r.json")
+        assert main(["solve", write(tmp_path, "p.json", payload), "--out", out]) == 0
+        problem = Problem.from_dict(payload)
+        report = solve(problem, tol=problem.default_tol())
+        expected = jsonable(report.to_dict())
+        expected["a_priori"] = jsonable(a_priori_check(problem, report))
+        assert load_report(out)["result"] == expected
+
+    def test_report_size_is_linear_in_sites(self, tmp_path):
+        n = 400
+        out = tmp_path / "r.json"
+        assert main(["solve", write(tmp_path, "p.json", matrix_problem(n)),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text()) < 100 * n
 
     def test_malformed_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -178,6 +233,37 @@ class TestEnergy:
         assert main(["energy", inp, "--out", out]) == 0
         assert load_report(out)["result"]["green_energy"] == 6.0
 
+    @pytest.mark.parametrize("omega", [
+        {"variant": "atomic", "sites": [0, 1], "weights": [1, 0.5]},
+        {"variant": "grid", "n_cells": 3, "values": [1, 2.5, 0]},
+    ], ids=["atomic", "grid"])
+    def test_config_echoes_omega_by_shape_and_digest(self, tmp_path, omega):
+        kernel = ({"variant": "matrix", "values": [[2, 1], [1, 2]]}
+                  if omega["variant"] == "atomic" else {"variant": "interval1d"})
+        out = str(tmp_path / "r.json")
+        payload = {"kernel": kernel, "omega": omega, "gamma": 1.0}
+        assert main(["energy", write(tmp_path, "e.json", payload), "--out", out]) == 0
+        config = load_report(out)["config"]
+        assert config["omega"] == {key: echoed(value) if isinstance(value, list) else value
+                                   for key, value in omega.items()}
+        if "values" in kernel:
+            assert config["kernel"]["values"] == echoed(kernel["values"])
+
+    def test_deterministic_modulo_timestamp(self, tmp_path):
+        payload = {"kernel": {"variant": "interval1d"},
+                   "omega": {"variant": "grid", "n_cells": 50,
+                             "values": np.linspace(0.5, 1.5, 50).tolist()},
+                   "gamma": 2.0}
+        inp = write(tmp_path, "e.json", payload)
+        texts = []
+        for name in ("r1", "r2"):
+            out = tmp_path / f"{name}.json"
+            assert main(["energy", inp, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        t1, t2 = texts
+        assert t1 != t2  # the timestamps differ ...
+        assert strip_timestamp(t1) == strip_timestamp(t2)  # ... and nothing else does
+
 
 class TestVerify:
     def manifest(self):
@@ -229,10 +315,9 @@ class TestVerify:
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["verify", inp, "--seed", "0", "--out", out1]) == 0
         assert main(["verify", inp, "--seed", "0", "--out", out2]) == 0
-        strip = lambda text: re.sub(r'^\s*"timestamp": .*$', "", text, flags=re.M)
         t1, t2 = open(out1).read(), open(out2).read()
         assert t1 != t2  # the timestamps differ ...
-        assert strip(t1) == strip(t2)  # ... and nothing else does
+        assert strip_timestamp(t1) == strip_timestamp(t2)  # ... and nothing else does
 
     def test_lower_bound_with_explicit_field(self, tmp_path):
         manifest = {
@@ -247,6 +332,33 @@ class TestVerify:
         out = str(tmp_path / "r.json")
         assert main(["verify", inp, "--out", out]) == 0
         assert load_report(out)["reports"][0]["passed"] is True
+
+    def test_instance_digests_are_pinned(self, tmp_path):
+        # digests name the inputs, not the way the package holds them
+        manifest = {"checks": [
+            {"check": "iterated", "kernel": {"variant": "matrix", "values": [[2, 1], [1, 2]]},
+             "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1, 0.5]}, "s": 2.0},
+            {"check": "iterated", "kernel": {"variant": "interval1d"},
+             "omega": {"variant": "grid", "n_cells": 4, "values": [1, 2, 0.5, 1]}, "s": 2.0},
+        ]}
+        out = str(tmp_path / "r.json")
+        assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
+        assert [r["instance_digest"] for r in load_report(out)["reports"]] == [
+            "47fb724e86b3", "733d43589eba"]
+
+    def test_lower_bound_resolves_h_once(self, tmp_path, monkeypatch):
+        scans = []
+        scan = greenlab.kernels.estimate_wmp_constant
+        monkeypatch.setattr(greenlab.kernels, "estimate_wmp_constant",
+                            lambda *a, **k: scans.append(1) or scan(*a, **k))
+        manifest = {"checks": [
+            {"check": "lower_bound",
+             "kernel": {"variant": "matrix", "values": [[2.0, 1.0], [1.0, 2.0]]},
+             "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1.0, 1.0]},
+             "q": 0.5},
+        ]}
+        assert main(["verify", write(tmp_path, "m.json", manifest)]) == 0
+        assert len(scans) == 1
 
     def test_bad_manifest(self, tmp_path):
         inp = write(tmp_path, "m.json", {"checks": [{"check": "unheard-of"}]})
@@ -312,9 +424,12 @@ class TestExponents:
     ("solve", {**GOLDEN_PROBLEM, "sigma": {"variant": "atomic", "sites": [None, 1],
                                            "weights": [1.0, 1.0]}},
      "problem file has a missing or malformed field: "),
+    ("solve", {**GOLDEN_PROBLEM, "sigma": {"variant": "atomic", "sites": [{}],
+                                           "weights": [1.0]}},
+     "atomic sites must be numbers"),
 ], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
         "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
-        "solve-null-site"])
+        "solve-null-site", "solve-object-site"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err

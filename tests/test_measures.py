@@ -57,6 +57,8 @@ def test_validation():
         Measure.atomic([0, 1], [1.0, -1.0])
     with pytest.raises(ValueError):
         Measure.atomic([0, 0], [1.0, 1.0])  # duplicate sites
+    with pytest.raises(ValueError, match="atomic sites must be numbers"):
+        Measure.atomic([{}], [1.0])
     with pytest.raises(ValueError):
         Measure.grid(4, [1.0, 1.0])  # wrong length
     with pytest.raises(ValueError):
