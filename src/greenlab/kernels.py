@@ -189,11 +189,18 @@ class Kernel:
 
 def distance_powers(targets: np.ndarray, sources: np.ndarray, expo: float):
     """Yield ``(rows, |x_i - y_j|**expo)`` by blocks of target rows (+inf at
-    distance 0 for expo < 0); one (m, n, dim) temporary would dwarf the result."""
-    for rows in row_blocks(len(targets), len(sources) * targets.shape[1]):
-        diff = targets[rows, None, :] - sources[None, :, :]
+    distance 0 for expo < 0).  The squared differences are summed one
+    coordinate at a time, in coordinate order, so no (m, n, dim) temporary
+    exists; below 8 terms that is the order ``np.sum`` adds in."""
+    for rows in row_blocks(len(targets), len(sources)):
+        t = targets[rows]
+        sq = np.zeros((len(t), len(sources)))
+        for c in range(t.shape[1]):
+            diff = np.subtract.outer(t[:, c], sources[:, c])
+            diff *= diff
+            sq += diff
         with np.errstate(divide="ignore"):
-            yield rows, np.power(np.sqrt(np.sum(diff * diff, axis=-1)), expo)
+            yield rows, np.power(np.sqrt(sq, out=sq), expo, out=sq)
 
 
 def estimate_quasi_symmetry(kernel: Kernel) -> float:

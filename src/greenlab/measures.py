@@ -47,9 +47,12 @@ class Measure:
             self.sites = sites
             self.weights = weights
         elif self.variant == GRID:
-            if self.n_cells is None or self.n_cells < 1:
-                raise ValueError("grid measure needs n_cells >= 1")
-            self.n_cells = int(self.n_cells)
+            n = self.n_cells
+            integral = ((isinstance(n, (int, np.integer)) and not isinstance(n, bool))
+                        or (isinstance(n, float) and n.is_integer()))
+            if not integral or n < 1:
+                raise ValueError(f"grid measure n_cells must be an integer >= 1, got {n!r}")
+            self.n_cells = int(n)
             values = np.asarray(self.values, dtype=float)
             if values.shape != (self.n_cells,):
                 raise ValueError("need one value per grid cell")
@@ -120,7 +123,7 @@ class Measure:
         if variant == ATOMIC:
             return cls.atomic(data["sites"], data["weights"])
         if variant == GRID:
-            return cls.grid(int(data["n_cells"]), data["values"])
+            return cls.grid(data["n_cells"], data["values"])
         raise ValueError(f"unknown measure variant {variant!r}")
 
 

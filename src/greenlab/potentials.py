@@ -6,23 +6,36 @@ rule; the interval kernel is bounded on (0,1)^2 so no diagonal correction
 is needed there, while a Riesz kernel on a grid gets its singular cell
 (target inside the source cell) integrated by 16-fold local subdivision.
 
-``green_operator`` picks the operator path from the kernel variant alone:
+``green_operator`` picks one of four operator paths from its inputs, with
+no option or size threshold:
 
-* interval kernel: no gram.  G(x, y) = min(x,y)(1 - max(x,y)) is
-  semiseparable, so G omega(t) = (1-t) sum_{s<=t} s v + t sum_{s>t} (1-s) v
-  comes from two sequential prefix sums (``np.cumsum``) over the sorted
-  sources: O(N log N) set-up, O(N) per apply.
-* matrix and Riesz kernels: the quadrature gram, built once.  When the
-  gram and the weighted density are finite the 0 * inf mask cannot act
-  and is skipped, and the product runs in blocks of rows
-  (``finite_row_sums``) so no temporary is gram-sized; otherwise the
-  masked product runs.  All give the same bits: the mask only rewrites
-  the NaNs of 0 * inf, and each row sums as it would in one piece.
+* interval prefix sums -- the interval kernel, any source and targets.
+  G(x, y) = min(x,y)(1 - max(x,y)) is semiseparable, so
+  G omega(t) = (1-t) sum_{s<=t} s v + t sum_{s>t} (1-s) v comes from two
+  sequential prefix sums (``np.cumsum``) over the sorted sources:
+  O(N log N) set-up, O(N) per apply, no gram.
+* Riesz-grid FFT -- a dim-1 Riesz kernel, a grid source and targets equal
+  to the grid's midpoints (the solver workspace and every check on one
+  grid).  The quadrature is then Toeplitz in the integer cell offset
+  |i - j|: one column, built from exact offsets, embedded in a circulant
+  and applied by ``np.fft.rfft``/``irfft`` in O(N log N), no gram.  The
+  column is positive and finite, so a non-finite weighted density gives
+  its sum (+inf or NaN) at every target, as the masked product would.
+* dense mask-free -- every other matrix or Riesz case whose gram and
+  weighted density are finite: the quadrature gram, built once, times
+  the density in blocks of rows (``finite_row_sums``), so no temporary is
+  gram-sized.
+* dense masked -- the same gram when either factor is not finite: the
+  0 * inf = 0 product of ``weighted_sum``.  The two dense paths give the
+  same bits: the mask only rewrites the NaNs of 0 * inf, and each row sums
+  as it would in one piece.
 
 The dense masked product (``weighted_sum`` against ``quadrature_gram``) is
-the reference every path is tested against.  Everything here is a pure
-function of its inputs and every sum has a fixed order, so results repeat
-bit for bit for the same inputs and numpy build.
+the reference every path is tested against; the prefix-sum and FFT paths
+agree with it to about 1e-12 relative, not bit for bit.  Everything here
+is a pure function of its inputs and every sum has a fixed order (numpy's
+FFT starts no threads), so results repeat bit for bit for the same inputs
+and numpy build.
 """
 
 from __future__ import annotations
@@ -107,17 +120,63 @@ def _interval_operator(kernel: Kernel, target_sites, omega: Measure):
     return apply
 
 
+def _riesz_column(kernel: Kernel, omega: Measure) -> np.ndarray:
+    """The Riesz quadrature at omega's midpoints as a Toeplitz column.
+
+    ``col[k]`` is the kernel at cell offset k, (k * width)^(2 alpha - 1),
+    from the exact integer offset rather than a difference of rounded
+    midpoints; ``col[0]`` is the singular-cell rule, the mean over 16
+    sub-midpoints, shared by every cell.
+    """
+    expo = 2.0 * kernel.alpha - 1.0
+    width = omega.cell_width
+    sub = np.abs((np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5) * width
+    col = np.empty(omega.n_cells)
+    col[0] = np.mean(np.power(sub, expo))
+    col[1:] = np.power(np.arange(1, omega.n_cells) * width, expo)
+    return col
+
+
+def _riesz_grid_operator(kernel: Kernel, omega: Measure):
+    """The Riesz-on-grid operator at the midpoints by circulant embedding.
+
+    The column sits in a circulant of length m, the next power of two
+    >= 2N - 1, whose spectrum is taken once; an apply is one forward and
+    one inverse real FFT of length m.  No N x N array is built.
+    """
+    col = _riesz_column(kernel, omega)
+    n = len(col)
+    m = 1 << (2 * n - 2).bit_length()
+    circ = np.zeros(m)
+    circ[:n] = col
+    circ[m - n + 1:] = col[:0:-1]  # negative offsets wrap to the end
+    spec = np.fft.rfft(circ)
+    w = omega.integration_weights
+
+    def apply(f=None) -> np.ndarray:
+        v = w if f is None else masked_mul(w, f)
+        if not np.isfinite(v).all():  # positive finite column: every row sums to sum(v)
+            return np.full(n, np.sum(v))
+        return np.fft.irfft(spec * np.fft.rfft(v, m), m)[:n]
+
+    return apply
+
+
 def green_operator(kernel: Kernel, target_sites, omega: Measure):
     """G(f d omega) at the targets, as a function of the density f.
 
     The returned ``apply(f=None)`` takes one value of f per support site
     of omega (0 * inf = 0 in the integrand) and gives G omega when f is
-    omitted.  Interval kernels use prefix sums and build no gram; other
-    kernels build omega's gram once and skip the 0 * inf mask whenever
-    both factors are finite (see the module docstring).
+    omitted.  Interval kernels use prefix sums and a dim-1 Riesz kernel on
+    a grid, evaluated at its midpoints, an FFT; neither builds a gram.
+    Other kernels build omega's gram once and skip the 0 * inf mask
+    whenever both factors are finite (see the module docstring).
     """
     if kernel.variant == INTERVAL:
         return _interval_operator(kernel, target_sites, omega)
+    if (kernel.variant == RIESZ and kernel.dim == 1 and omega.variant == GRID
+            and np.array_equal(target_sites, omega.midpoints)):
+        return _riesz_grid_operator(kernel, omega)
     gram = quadrature_gram(kernel, target_sites, omega)
     gram_finite = bool(np.isfinite(gram).all())
     w = omega.integration_weights

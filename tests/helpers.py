@@ -141,17 +141,28 @@ def certified_problem(rng: np.random.Generator, n: int, q: float,
     return Problem(kernel=kernel, sigma=sigma, mu=mu, q=q, gamma=gamma, h=1.0)
 
 
-def count_gram_builds(monkeypatch) -> list:
-    """Patch a counting quadrature_gram into greenlab.potentials, where every
-    operator is built; returns the list that grows by one per build."""
+def count_calls(monkeypatch, name: str) -> list:
+    """Patch a counting wrapper over ``greenlab.potentials.<name>``; returns
+    the list that grows by one per call."""
     from greenlab import potentials
 
-    original = potentials.quadrature_gram
+    original = getattr(potentials, name)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(potentials, "quadrature_gram", counting)
+    monkeypatch.setattr(potentials, name, counting)
     return calls
+
+
+def count_gram_builds(monkeypatch) -> list:
+    """Count quadrature_gram calls in greenlab.potentials, where every
+    operator is built."""
+    return count_calls(monkeypatch, "quadrature_gram")
+
+
+def count_fft_setups(monkeypatch) -> list:
+    """Count the Riesz-grid FFT operators greenlab.potentials sets up."""
+    return count_calls(monkeypatch, "_riesz_grid_operator")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import greenlab
 from greenlab import Problem, a_priori_check, solve
 from greenlab.cli import main
-from greenlab.serialize import jsonable
+from greenlab.serialize import dumps, jsonable
 
 GOLDEN_PROBLEM = {
     "kernel": {"variant": "matrix", "values": [[1.0]]},
@@ -427,9 +428,16 @@ class TestExponents:
     ("solve", {**GOLDEN_PROBLEM, "sigma": {"variant": "atomic", "sites": [{}],
                                            "weights": [1.0]}},
      "atomic sites must be numbers"),
+    ("solve", {**GOLDEN_PROBLEM, "kernel": {"variant": "interval1d"}, "mu": None,
+               "sigma": {"variant": "grid", "n_cells": 2.7, "values": [1, 1]}},
+     "n_cells must be an integer >= 1, got 2.7"),
+    ("solve", {**GOLDEN_PROBLEM, "kernel": {"variant": "interval1d"}, "mu": None,
+               "sigma": {"variant": "grid", "n_cells": "2", "values": [1, 1]}},
+     "n_cells must be an integer >= 1, got '2'"),
 ], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
         "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
-        "solve-null-site", "solve-object-site"])
+        "solve-null-site", "solve-object-site", "solve-fractional-n-cells",
+        "solve-string-n-cells"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err
@@ -449,3 +457,27 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert '"gamma": 1.0' in proc.stdout
+
+
+def _walk(obj):
+    """The per-element walk every array took before finite arrays were
+    listed directly: non-finite floats become strings."""
+    if isinstance(obj, list):
+        return [_walk(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
+@pytest.mark.parametrize("array", [
+    np.array([0.1, -2.5e-300, 1e300, 0.0, -0.0]),
+    np.array([[1.0, 1 / 3], [2.0, 7e-12]]),
+    np.array([1.0, np.inf, -np.inf, np.nan]),
+    np.array([[np.nan, 0.5], [np.inf, -1.0]]),
+    np.arange(5), np.array([[3, -4]], dtype=np.int32), np.array([True, False]),
+    np.array([]), np.zeros((0, 3)),
+], ids=["float-1d", "float-2d", "nonfinite-1d", "nonfinite-2d", "int", "int32-2d", "bool",
+        "empty", "empty-2d"])
+def test_dumps_of_arrays_is_unchanged(array):
+    assert dumps({"a": array}) == json.dumps({"a": _walk(array.tolist())}, sort_keys=True,
+                                             indent=2)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from greenlab import (
     extreal,
 )
 from greenlab.extreal import weighted_sum
+from greenlab.kernels import distance_powers
 from tests.helpers import interval_green_oracle
 
 
@@ -182,6 +185,25 @@ class TestRieszScaling:
         base = k.eval(x, y)
         scaled = k.eval(lam * x, lam * y)
         assert scaled == pytest.approx(lam ** (2 * alpha - dim) * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("entries", [1 << 18, 7])
+def test_distance_powers_match_the_one_shot_sum(dim, entries):
+    # per-coordinate accumulation gives the bits of np.sum over the last
+    # axis of one (m, n, dim) temporary for dim < 8, +inf at distance 0
+    rng = np.random.default_rng(dim)
+    t, s = rng.uniform(-1.0, 1.0, (23, dim)), rng.uniform(-1.0, 1.0, (31, dim))
+    s[:4] = t[:4]
+    diff = t[:, None, :] - s[None, :, :]
+    with np.errstate(divide="ignore"):
+        ref = np.power(np.sqrt(np.sum(diff * diff, axis=-1)), 0.5 - dim)
+    got = np.empty_like(ref)
+    with mock.patch.object(extreal, "_BLOCK_ENTRIES", entries):
+        for rows, block in distance_powers(t, s, 0.5 - dim):
+            got[rows] = block
+    assert got.tobytes() == ref.tobytes()
+    assert np.isinf(got[np.arange(4), np.arange(4)]).all()
 
 
 def test_json_round_trip():

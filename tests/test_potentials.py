@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from greenlab import Kernel, Measure, iterated_potential, potential
 from greenlab import extreal
 from greenlab.extreal import masked_mul, row_blocks, weighted_sum
-from greenlab.potentials import green_operator, quadrature_gram
+from greenlab.potentials import _riesz_column, green_operator, quadrature_gram
 from tests.helpers import interval_green_oracle, random_green_matrix, random_weights
 
 
@@ -271,6 +271,45 @@ def test_interval_operator_matches_the_dense_masked_product(kind, n, seed, with_
         assert np.array_equal(np.isinf(got), np.isinf(ref))
         fin = np.isfinite(ref)
         assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-12 * ref[fin])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.floats(min_value=0.01, max_value=0.49),
+       st.integers(min_value=0, max_value=2**31), st.sampled_from([None, np.inf, np.nan]))
+def test_riesz_grid_fft_matches_the_dense_products(n, alpha, seed, bad):
+    # the FFT path at the midpoints: within 1e-13 relative of the exact
+    # Toeplitz product, within 1e-12 of the rounded-midpoint gram, and
+    # +inf/NaN where the masked dense product has them
+    rng = np.random.default_rng(seed)
+    kernel, omega = Kernel.riesz(alpha, 1), Measure.grid(n, random_weights(rng, n, hi=2.0))
+    mids, w = omega.midpoints, omega.integration_weights
+    f = rng.uniform(0.0, 3.0, n)
+    f[rng.random(n) < 0.3] = 0.0
+    if bad is not None:
+        f[rng.integers(n)] = bad
+    apply = green_operator(kernel, mids, omega)
+    got, v = apply(f), masked_mul(w, f)
+    cells = np.arange(n)
+    toeplitz = _riesz_column(kernel, omega)[np.abs(cells[:, None] - cells[None, :])]
+    ref = weighted_sum(quadrature_gram(kernel, mids, omega), v)
+    assert got.shape == ref.shape == (n,)
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    if np.isfinite(v).all():
+        exact = toeplitz @ v
+        assert np.all(np.abs(got - exact) <= 1e-13 * exact)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+    assert apply().tobytes() == apply(np.ones(n)).tobytes()
+
+
+def test_riesz_grid_fft_path_runs_only_at_the_midpoints():
+    # any other target set keeps the gram path, bit for bit
+    kernel, omega = Kernel.riesz(0.25, 1), Measure.lebesgue(8)
+    w = omega.integration_weights
+    for targets in (omega.midpoints[:-1], omega.midpoints[::-1], omega.midpoints[:, None]):
+        gram = quadrature_gram(kernel, targets, omega)
+        assert green_operator(kernel, targets, omega)().tobytes() == \
+            weighted_sum(gram, w).tobytes()
 
 
 def test_interval_operator_validates_its_sites():

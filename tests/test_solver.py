@@ -15,6 +15,7 @@ from greenlab import (
     solve,
 )
 from tests.helpers import (
+    count_fft_setups,
     count_gram_builds,
     random_green_matrix,
     random_weights,
@@ -346,22 +347,24 @@ def grid_problem(n=64, with_mu=False, kernel=None):
 
 
 class TestOneWorkspace:
-    @pytest.mark.parametrize("kernel, with_mu, builds", [
+    @pytest.mark.parametrize("kernel, with_mu, ffts", [
         (Kernel.riesz(0.25, 1), False, 1), (Kernel.riesz(0.25, 1), True, 2),
         (Kernel.interval1d(), False, 0), (Kernel.interval1d(), True, 0),
     ], ids=["riesz-hom", "riesz-inh", "interval-hom", "interval-inh"])
     def test_each_operator_built_once_per_request(self, monkeypatch, kernel, with_mu,
-                                                  builds):
+                                                  ffts):
         # solve (conditions, sweeps), the a priori probe and the minimality
-        # probe build the sigma operator once, and the mu operator once;
-        # the interval kernel's prefix-sum operators build no gram at all
-        calls = count_gram_builds(monkeypatch)
+        # probe set up the sigma operator once, and the mu operator once;
+        # neither the interval kernel's prefix sums nor the Riesz grid's
+        # FFT builds a gram
+        grams, fft_setups = count_gram_builds(monkeypatch), count_fft_setups(monkeypatch)
         p = grid_problem(with_mu=with_mu, kernel=kernel)
         rep = solve(p)
         probe = minimality_probe(p, rep, v0_scale=2.0)
         assert rep.converged and probe["agrees"]
         assert a_priori_check(p, rep)["c_est"] > 0.0
-        assert len(calls) == builds
+        assert len(grams) == 0
+        assert len(fft_setups) == ffts
 
     def test_a_priori_probe_matches_public_estimate(self):
         # the probe applies sigma's operator on the whole evaluation set and
@@ -454,4 +457,28 @@ def test_interval_solve_at_scale_builds_no_gram(monkeypatch):
         rows = slice(i, i + 8 * 128, 8)
         gram = np.minimum.outer(x[rows], x) - np.outer(x[rows], x)
         resid = max(resid, float(np.max(np.abs(rep.u_values[rows] - gram @ v))))
+    assert resid <= p.default_tol()
+
+
+def test_riesz_grid_solve_at_scale_builds_no_gram(monkeypatch):
+    # N = 2^16 cells: the sweep runs on the FFT (a dense gram would take
+    # 32 GB); the returned u is checked against the Toeplitz quadrature
+    # written out here, applied at every 64th cell, 16 target rows at a time
+    calls = count_gram_builds(monkeypatch)
+    n, alpha = 2 ** 16, 0.25
+    rng = np.random.default_rng(12)
+    p = Problem(kernel=Kernel.riesz(alpha, 1), sigma=Measure.grid(n, rng.uniform(0.5, 1.5, n)),
+                mu=Measure.grid(n, rng.uniform(0.0, 1.0, n)), q=0.5, gamma=1.0)
+    rep = solve(p)
+    assert rep.converged and rep.monotone_ok and not calls
+    width, expo = 1.0 / n, 2.0 * alpha - 1.0
+    sub = np.abs((np.arange(16) + 0.5) / 16 - 0.5) * width
+    col = np.concatenate(([np.mean(sub ** expo)], (np.arange(1, n) * width) ** expo))
+    v = rep.u_values ** p.q * p.sigma.integration_weights + p.mu.integration_weights
+    cells = np.arange(n)
+    resid = 0.0
+    for i in range(0, n, 64 * 16):
+        rows = cells[i:i + 64 * 16:64]
+        image = col[np.abs(rows[:, None] - cells[None, :])] @ v
+        resid = max(resid, float(np.max(np.abs(rep.u_values[rows] - image))))
     assert resid <= p.default_tol()

@@ -28,6 +28,7 @@ from greenlab import (
 from greenlab import extreal
 from tests.helpers import (
     brute_force_norm_constant,
+    count_fft_setups,
     count_gram_builds,
     random_green_matrix,
     random_weights,
@@ -389,19 +390,24 @@ def test_reports_are_deterministic():
     assert rep1.instance_digest == rep2.instance_digest
 
 
-@pytest.mark.parametrize("run, builds", [
-    (lambda: check_iterated(Kernel.interval1d(), Measure.lebesgue(40), 2.0, h=1.0), 0),
-    (lambda: check_iterated(Kernel.riesz(0.25, 1), Measure.lebesgue(40), 0.5, h=1.0), 1),
-    (lambda: check_norm_equivalence(K22, OM22, 3.0, 1.5, samples=8), 1),
-    (lambda: ibp_check(Kernel.interval1d(), Measure.lebesgue(40), 2.0), 0),
+@pytest.mark.parametrize("run, builds, ffts", [
+    (lambda: check_iterated(Kernel.interval1d(), Measure.lebesgue(40), 2.0, h=1.0), 0, 0),
+    (lambda: check_iterated(Kernel.riesz(0.25, 1), Measure.lebesgue(40), 0.5, h=1.0), 0, 1),
+    (lambda: check_norm_equivalence(K22, OM22, 3.0, 1.5, samples=8), 1, 0),
+    (lambda: ibp_check(Kernel.interval1d(), Measure.lebesgue(40), 2.0), 0, 0),
     (lambda: check_relation_chain(Kernel.interval1d(), Measure.lebesgue(40),
-                                  Measure.grid(40, np.full(40, 0.5)), 0.5, 1.0, h=1.0), 0),
-], ids=["iterated-interval", "iterated-riesz", "norm-equivalence", "ibp", "relation-chain"])
-def test_each_check_builds_its_gram_once(monkeypatch, run, builds):
-    # interval kernels build no gram: their operators are prefix sums
-    calls = count_gram_builds(monkeypatch)
+                                  Measure.grid(40, np.full(40, 0.5)), 0.5, 1.0, h=1.0), 0, 0),
+    (lambda: check_relation_chain(Kernel.riesz(0.25, 1), Measure.lebesgue(40),
+                                  Measure.grid(40, np.full(40, 0.5)), 0.5, 1.0, h=1.0), 0, 2),
+], ids=["iterated-interval", "iterated-riesz", "norm-equivalence", "ibp", "relation-chain",
+        "relation-chain-riesz"])
+def test_each_check_builds_its_gram_once(monkeypatch, run, builds, ffts):
+    # interval kernels build no gram: their operators are prefix sums; a
+    # Riesz kernel on a grid, evaluated at its midpoints, sets up one FFT
+    grams, fft_setups = count_gram_builds(monkeypatch), count_fft_setups(monkeypatch)
     run()
-    assert len(calls) == builds
+    assert len(grams) == builds
+    assert len(fft_setups) == ffts
 
 
 def _chain_instance(kind: str, rng):
@@ -423,12 +429,14 @@ def _chain_instance(kind: str, rng):
         return Kernel.interval1d(), grid, Measure.atomic(atoms.sites[:, 0], atoms.weights)
     if kind == "riesz_mixed":  # mu's sites have shape (3, 1), the grid's (n,)
         return Kernel.riesz(0.25, 1), grid, atoms
+    if kind == "riesz_grid":  # one grid: both operators take the FFT path
+        return Kernel.riesz(0.25, 1), grid, Measure.grid(n, random_weights(rng, n, lo=0.05))
     return Kernel.interval1d(), Measure.grid(n, np.zeros(n)), grid  # zero-mass sigma
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["matrix", "riesz_atoms", "interval_mixed", "riesz_mixed",
-                        "zero_sigma"]),
+                        "riesz_grid", "zero_sigma"]),
        st.integers(min_value=0, max_value=2**31), st.sampled_from([0.25, 0.5, 0.75]),
        st.floats(min_value=0.3, max_value=2.0))
 def test_relation_chain_integrals_are_cross_energy(kind, seed, q, gamma):
