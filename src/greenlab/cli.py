@@ -24,7 +24,8 @@ from .kernels import INTERVAL, Kernel, resolve_h
 from .measures import GRID, Field, Measure
 from .potentials import potential_values
 from .serialize import dumps, echo, write_csv, write_field_csv
-from .solver import DEFAULT_TOL_ATOMIC, Problem, a_priori_check, minimality_probe, solve
+from .solver import (DEFAULT_TOL_ATOMIC, HISTORY_COLUMNS, Problem, a_priori_check,
+                     minimality_probe, solve)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,30 +78,26 @@ def _cmd_solve(args) -> int:
     tol = args.tol if args.tol is not None else problem.default_tol()
     report = solve(problem, tol=tol, max_iter=args.max_iter,
                    keep_history=args.history)
-    a_priori = (a_priori_check(problem, report)
-                if report.converged and not problem.mu_is_zero else None)
     out = _base_report("solve", echo({
         "input": args.input, "tol": tol, "max_iter": args.max_iter,
         "seed": args.seed, "history": bool(args.history),
         "problem": problem.to_dict(),
     }))
-    out["result"] = result = {}
-    for key, value in report.to_dict().items():
-        result[key] = value
-        if key == "diagnostic":  # reports keep the a priori check right after it
-            result["a_priori"] = a_priori
+    out["result"] = report.to_dict()
+    out["result"]["a_priori"] = (a_priori_check(problem, report)
+                                 if report.converged and not problem.mu_is_zero else None)
     if report.converged and args.probe_scale is not None:
         out["minimality_probe"] = minimality_probe(problem, report, args.probe_scale,
                                                    tol=tol)
+    converged, u, sites, history = (report.converged, report.u_values,
+                                    report.workspace.eval_sites, report.history)
     del problem, report  # frees the operators before the report is written
     _emit(out, args.out)
     if args.history and args.out:
-        columns = ["iteration", "sup_change", "sup_value", "norm_sigma"]
-        write_csv(Path(args.out).with_suffix(".history.csv"), columns,
-                  ([row[c] for c in columns] for row in result.get("history", [])))
-        write_field_csv(Path(args.out).with_suffix(".field.csv"),
-                        result["u"], result["sites"])
-    return EXIT_OK if result["converged"] else EXIT_CHECK_FAILED
+        write_csv(Path(args.out).with_suffix(".history.csv"), HISTORY_COLUMNS,
+                  ([row[c] for c in HISTORY_COLUMNS] for row in history))
+        write_field_csv(Path(args.out).with_suffix(".field.csv"), u, sites)
+    return EXIT_OK if converged else EXIT_CHECK_FAILED
 
 
 def _cmd_energy(args) -> int:

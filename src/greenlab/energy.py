@@ -10,7 +10,7 @@ residual of the identity together with the observed equivalence ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,15 +32,7 @@ class EnergyReport:
     n_cells: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "green_energy": self.green_energy,
-            "gradient_energy": self.gradient_energy,
-            "ibp_relative_residual": self.ibp_relative_residual,
-            "equivalence_ratio": self.equivalence_ratio,
-            "excluded_mass": self.excluded_mass,
-            "n_cells": self.n_cells,
-        }
+        return asdict(self)
 
 
 def power_integral(values, expo: float, weights) -> float:

@@ -270,14 +270,14 @@ def estimate_wmp_constant(kernel: Kernel, samples: int = 64, seed: int = 0) -> f
     return h
 
 
-def resolve_h(kernel: Kernel, samples: int = 64, seed: int = 0) -> float:
+def resolve_h(kernel: Kernel) -> float:
     """WMP constant to use for a kernel: declared, else 1 for Green-type
     variants, else the probed lower bound."""
     if kernel.declared_h is not None:
         return float(kernel.declared_h)
     if kernel.variant != MATRIX:
         return 1.0
-    return estimate_wmp_constant(kernel, samples=samples, seed=seed)
+    return estimate_wmp_constant(kernel)
 
 
 def resolve_quasi_symmetry(kernel: Kernel) -> float:

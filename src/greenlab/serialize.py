@@ -39,17 +39,6 @@ def jsonable(obj):
     return obj
 
 
-def from_jsonable(x):
-    """Inverse of :func:`jsonable` for the non-finite string encoding."""
-    if x == "inf":
-        return float("inf")
-    if x == "-inf":
-        return float("-inf")
-    if x == "nan":
-        return float("nan")
-    return x
-
-
 def dumps(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2)
 
@@ -66,10 +55,10 @@ def echo(obj):
     return obj
 
 
-def digest(obj, length: int = 12) -> str:
-    """Stable hex digest of a canonical JSON rendering of ``obj``."""
+def digest(obj) -> str:
+    """Stable 12-hex-digit digest of a canonical JSON rendering of ``obj``."""
     payload = json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:length]
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 def write_csv(path, header, rows) -> None:
@@ -80,7 +69,6 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(jsonable(list(row)) for row in rows)
 
 
-def write_field_csv(path, values, sites=None) -> None:
-    """Dump field samples as (site-or-cell index, value) rows."""
-    write_csv(path, ["site", "value"],
-              ((i if sites is None else sites[i], float(v)) for i, v in enumerate(values)))
+def write_field_csv(path, values: np.ndarray, sites: np.ndarray) -> None:
+    """Dump a field as (site, value) rows."""
+    write_csv(path, ["site", "value"], zip(sites.tolist(), values.tolist()))

@@ -11,10 +11,13 @@ first step without trial and error.  Otherwise it starts from u0 = G mu,
 which is monotone unconditionally.
 
 Sublinearity makes the contraction rate near the fixed point roughly q,
-so the default iteration budget is generous.  Divergence (infinite
-condition integral, or iterates escaping to 1e300) is reported as a
-non-converged result with a diagnostic, never raised: by the converse
-half of the existence theory, no solution exists there.
+so the default iteration budget is generous.  A run that cannot finish
+(infinite condition integral, non-finite start, or iterates escaping to
+1e300) is reported as a non-converged result with a diagnostic, never
+raised.  When G sigma or G mu holds +inf, the converse half of the
+existence theory says no solution exists, and the diagnostic says so.
+Otherwise every potential is finite, a discrete solution exists, and the
+diagnostic says that it lies outside the float range.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ DEFAULT_MAX_ITER = 10_000
 MONOTONE_SLACK = 1e-12
 DIVERGENCE_CAP = 1e300
 A_PRIORI_SAMPLES = 32  # random densities in the a priori norm-constant probe
+HISTORY_COLUMNS = ("iteration", "sup_change", "sup_value", "norm_sigma")  # one row per sweep
 
 
 @dataclass
@@ -141,8 +145,8 @@ class SolveReport:
         }
         if self.converged:
             out["norms"] = self.norms()
-        out["sites"] = np.asarray(self.workspace.eval_sites).tolist()
-        out["u"] = self.u_values.tolist()
+        out["sites"] = self.workspace.eval_sites
+        out["u"] = self.u_values
         if self.history:
             out["history"] = self.history
         return out
@@ -197,11 +201,19 @@ def check_conditions(problem: Problem) -> dict:
     return _Workspace(problem).conditions()
 
 
-def _iterate(ws: _Workspace, u0: np.ndarray, tol: float, max_iter: int,
-             keep_history: bool):
-    """Run the sweep until the sup change is below tol absolutely and
-    relatively; returns (u, converged, iterations, residual, monotone_ok,
-    diagnostic, history).
+def _failure(ws: _Workspace, what: str) -> str:
+    """The diagnostic of a run that cannot finish: a violated necessary
+    condition only if G sigma or G mu holds +inf, else a finite problem
+    whose solution the floats cannot hold."""
+    if np.isposinf(ws.gsigma).any() or np.isposinf(ws.gmu).any():
+        return "necessary condition violated: " + what
+    return "float range exceeded: " + what
+
+
+def _iterate(ws: _Workspace, u0: np.ndarray, conditions: dict, tol: float,
+             max_iter: int, keep_history: bool) -> SolveReport:
+    """Run the sweep from u0 until the sup change is below tol absolutely
+    and relatively.
 
     On convergence the reported u is the last iterate whose fixed-point
     residual sup|u - G(u^q d sigma) - G mu| was actually measured, so the
@@ -209,39 +221,32 @@ def _iterate(ws: _Workspace, u0: np.ndarray, tol: float, max_iter: int,
     """
     p = ws.problem
     u = np.asarray(u0, dtype=float)
-    monotone_ok = True
-    history = []
-    diagnostic = None
-    converged = False
-    residual = float("inf")
-    iterations = 0
+    report = SolveReport(converged=False, iterations=0, u_values=u,
+                         residual_sup=float("inf"), monotone_ok=True,
+                         condition_integrals=conditions, workspace=ws)
     if not np.all(np.isfinite(u)):
-        return u, False, 0, residual, monotone_ok, "necessary condition violated: starting iterate is not finite", history
+        report.diagnostic = _failure(ws, "starting iterate is not finite")
+        return report
     for it in range(1, max_iter + 1):
         v = ws.apply(u)
-        iterations = it
+        report.iterations = it
         if not np.all(np.isfinite(v)) or (v.size and v.max() > DIVERGENCE_CAP):
-            diagnostic = "necessary condition violated: iterates unbounded"
-            u = v
-            break
+            report.u_values, report.diagnostic = v, _failure(ws, "iterates unbounded")
+            return report
         if np.any(v < u - MONOTONE_SLACK):
-            monotone_ok = False
+            report.monotone_ok = False
         diff = sup_abs(v - u)
         if keep_history:
-            r_exp = p.gamma + p.q
-            norm = lp_norm(Field(p.sigma, v[ws.sigma_pos]), r_exp, p.sigma)
-            history.append({"iteration": it, "sup_change": diff,
-                            "sup_value": float(v.max()) if v.size else 0.0,
-                            "norm_sigma": norm})
+            norm = lp_norm(Field(p.sigma, v[ws.sigma_pos]), p.gamma + p.q, p.sigma)
+            sup = float(v.max()) if v.size else 0.0
+            report.history.append(dict(zip(HISTORY_COLUMNS, (it, diff, sup, norm))))
         scale = max(sup_abs(v), TINY)
         if diff <= tol and diff / scale <= tol:
-            converged = True
-            residual = diff
-            break
-        u = v
-    if not converged and diagnostic is None:
-        diagnostic = f"max_iter={max_iter} exceeded without meeting tol={tol}"
-    return u, converged, iterations, residual, monotone_ok, diagnostic, history
+            report.converged, report.residual_sup = True, diff
+            return report
+        report.u_values = u = v
+    report.diagnostic = f"max_iter={max_iter} exceeded without meeting tol={tol}"
+    return report
 
 
 def solve(problem: Problem, tol: Optional[float] = None,
@@ -269,11 +274,13 @@ def solve(problem: Problem, tol: Optional[float] = None,
         return SolveReport(converged=False, iterations=0, u_values=start,
                            residual_sup=float("inf"), monotone_ok=True,
                            condition_integrals=conditions, workspace=ws,
-                           diagnostic="necessary condition violated: " + why)
-    u, conv, its, resid, mono, diag, hist = _iterate(ws, u0, tol, max_iter, keep_history)
-    return SolveReport(converged=conv, iterations=its, u_values=u, residual_sup=resid,
-                       monotone_ok=mono, condition_integrals=conditions, workspace=ws,
-                       diagnostic=diag, history=hist)
+                           diagnostic=_failure(ws, why))
+    return _iterate(ws, u0, conditions, tol, max_iter, keep_history)
+
+
+def _same_problem(problem: Problem, report: SolveReport) -> None:
+    if problem is not report.problem:
+        raise ValueError("problem is not the problem the report was solved for")
 
 
 def a_priori_check(problem: Problem, report: SolveReport,
@@ -286,7 +293,9 @@ def a_priori_check(problem: Problem, report: SolveReport,
     the ((gamma+q)/q, gamma+q) weighted-norm constant C of sigma; if omitted,
     it is probed on the report's workspace, building no operator: sigma's
     operator on sigma's sites, ``A_PRIORI_SAMPLES`` densities, seed 0.
+    ``problem`` must be ``report.problem``.
     """
+    _same_problem(problem, report)
     if not report.converged:
         raise ValueError("a priori bound is only meaningful for a converged run")
     p, ws = problem, report.workspace
@@ -316,19 +325,22 @@ def minimality_probe(problem: Problem, report: SolveReport, v0_scale: float,
     An empirical probe of minimality/uniqueness, not a proof: from
     v0 = v0_scale * (u + 1) the sweep decreases toward some fixed point;
     ``agrees`` records whether it lands back on the computed solution.
+    ``problem`` must be ``report.problem``.
     """
+    _same_problem(problem, report)
     if not v0_scale > 1.0:
         raise ValueError("v0_scale must exceed 1")
     if not report.converged:
         raise ValueError("probe needs a converged base solution")
     tol = problem.default_tol() if tol is None else tol
     v0 = v0_scale * (report.u_values + 1.0)
-    v, conv, its, resid, _, diag, _ = _iterate(report.workspace, v0, tol, max_iter, False)
-    gap = sup_abs(v - report.u_values) if conv else float("inf")
+    probe = _iterate(report.workspace, v0, report.condition_integrals, tol, max_iter, False)
+    conv = probe.converged
+    gap = sup_abs(probe.u_values - report.u_values) if conv else float("inf")
     return {
         "agrees": bool(conv and gap < 10.0 * tol),
         "gap_sup": float(gap),
         "probe_converged": bool(conv),
-        "iterations": its,
-        "diagnostic": diag,
+        "iterations": probe.iterations,
+        "diagnostic": probe.diagnostic,
     }

@@ -16,7 +16,7 @@ conclusion, and a verification harness should not count it as verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -44,16 +44,7 @@ class VerifyReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "instance_digest": self.instance_digest,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant_used": self.constant_used,
-            "passed": self.passed,
-            "margin": self.margin,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 def _digest_inputs(**kwargs) -> str:

@@ -15,12 +15,24 @@ from greenlab import Problem, a_priori_check, solve
 from greenlab.cli import main
 from greenlab.serialize import dumps, jsonable
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PROBLEM = {
     "kernel": {"variant": "matrix", "values": [[1.0]]},
     "sigma": {"variant": "atomic", "sites": [0], "weights": [1.0]},
     "mu": {"variant": "atomic", "sites": [0], "weights": [1.0]},
     "q": 0.5,
     "gamma": 1.0,
+}
+
+
+# interval kernel, sigma and mu on one 5-cell grid: every writer of ``solve
+# --history --out`` has something to say (history rows, a priori, norms)
+GRID_PROBLEM = {
+    "kernel": {"variant": "interval1d"},
+    "sigma": {"variant": "grid", "n_cells": 5, "values": [1.0, 0.5, 2.0, 1.5, 0.25]},
+    "mu": {"variant": "grid", "n_cells": 5, "values": [0.5, 1.0, 0.0, 2.0, 1.0]},
+    "q": 0.5,
+    "gamma": 0.75,
 }
 
 
@@ -177,6 +189,17 @@ class TestSolve:
         assert main(["solve", inp, "--out", out]) == 1
         assert "necessary condition" in load_report(out)["result"]["diagnostic"]
 
+    def test_float_range_exit(self, tmp_path):
+        # a finite problem whose solution (about 1e310) the floats cannot hold
+        problem = {"kernel": {"variant": "matrix", "values": [[1e31]]},
+                   "sigma": GOLDEN_PROBLEM["sigma"], "mu": GOLDEN_PROBLEM["mu"],
+                   "q": 0.9, "gamma": 0.05}
+        out = str(tmp_path / "r.json")
+        assert main(["solve", write(tmp_path, "p.json", problem), "--out", out]) == 1
+        result = load_report(out)["result"]
+        assert result["diagnostic"] == "float range exceeded: iterates unbounded"
+        assert result["a_priori"] is None and result["iterations"] == 32
+
     def test_history_csv(self, tmp_path):
         inp = write(tmp_path, "p.json", GOLDEN_PROBLEM)
         out = str(tmp_path / "r.json")
@@ -201,6 +224,18 @@ class TestSolve:
             "iteration,sup_change,sup_value,norm_sigma"]
         assert (tmp_path / "r.field.csv").read_text().splitlines() == [
             "site,value", '"[0.0, 0.0, 0.0]",inf', '"[1.0, 0.0, 0.0]",inf']
+
+    def test_history_out_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # the exact bytes of the report (timestamp stripped) and both CSVs,
+        # line endings included; the input is named by a relative path
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p.json", GRID_PROBLEM)
+        assert main(["solve", "p.json", "--history", "--out", "r.json"]) == 0
+        for suffix in (".json", ".history.csv", ".field.csv"):
+            got = (tmp_path / f"r{suffix}").read_bytes()
+            if suffix == ".json":
+                got = strip_timestamp(got.decode()).encode()
+            assert got == (GOLDEN_DIR / f"interval_mu{suffix}").read_bytes(), suffix
 
     def test_probe_scale(self, tmp_path):
         inp = write(tmp_path, "p.json", GOLDEN_PROBLEM)

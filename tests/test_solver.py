@@ -93,6 +93,52 @@ class TestHomogeneous:
         assert rep.monotone_ok and len(changes) == rep.iterations
 
 
+class TestRunsThatCannotFinish:
+    """The four non-converged exits of the sweep.  A necessary condition is
+    violated only when G sigma or G mu holds +inf; a finite problem whose
+    solution the floats cannot hold says that instead."""
+
+    @staticmethod
+    def assert_float_range(rep, what):
+        assert not rep.converged
+        assert rep.diagnostic == "float range exceeded: " + what
+        assert np.all(np.isfinite(rep.workspace.gsigma))
+        assert np.all(np.isfinite(rep.workspace.gmu))
+
+    def test_starting_iterate_overflows(self):
+        # u0 = kappa * (1e200)^(1/0.55) overflows; I_sigma = 1e200^(0.5/0.55)
+        rep = solve(scalar_problem(g=1e200, q=0.45, gamma=0.05))
+        self.assert_float_range(rep, "starting iterate is not finite")
+        assert rep.iterations == 0
+        assert rep.condition_integrals["I_sigma"] == pytest.approx(6.579e181, rel=1e-3)
+
+    def test_condition_integral_overflows(self):
+        # I_sigma = (1e140)^3 overflows, though the solution 1e280 is a float
+        rep = solve(scalar_problem(g=1e140, q=0.5, gamma=1.0))
+        self.assert_float_range(rep, "I_sigma is infinite")
+        assert rep.iterations == 0 and np.isinf(rep.condition_integrals["I_sigma"])
+
+    def test_iterates_overflow(self):
+        # u = 1e31 (u^0.9 + 1) has its root near 1e310, past the largest float
+        rep = solve(scalar_problem(g=1e31, m=1.0, q=0.9, gamma=0.05))
+        self.assert_float_range(rep, "iterates unbounded")
+        assert rep.iterations == 32
+        assert all(np.isfinite(v) for v in rep.condition_integrals.values())
+
+    def test_max_iter(self):
+        rep = solve(scalar_problem(g=2.0, q=0.99), max_iter=5)
+        assert not rep.converged and rep.iterations == 5
+        assert rep.diagnostic == "max_iter=5 exceeded without meeting tol=1e-10"
+
+    def test_infinite_potential_violates_a_necessary_condition(self):
+        # the same exits keep their reading when a potential is +inf
+        p = Problem(kernel=Kernel.riesz(1.0, 3),
+                    sigma=Measure.atomic([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [1.0, 1.0]),
+                    mu=Measure.atomic([(1.0, 0.0, 0.0)], [1.0]), q=0.5)
+        rep = solve(p)
+        assert rep.diagnostic == "necessary condition violated: I_sigma or G mu is infinite"
+
+
 class TestInhomogeneous:
     def test_golden_ratio_squared(self):
         # oracle: bisection on u = sqrt(u) + 1
@@ -152,6 +198,15 @@ class TestAPriori:
         ap = a_priori_check(p, solve(p), c_est=1.0)
         assert ap["c"] == pytest.approx(2.0 ** ((1 - 0.5) / 0.5))
 
+    def test_refuses_another_problem(self):
+        p = scalar_problem(m=1.0)
+        rep = solve(p)
+        # a problem that is not the report's, even an equal one, is refused
+        for other in (scalar_problem(m=1.0, q=0.9, gamma=3.0), scalar_problem(m=1.0)):
+            with pytest.raises(ValueError, match="not the problem"):
+                a_priori_check(other, rep, c_est=1.0)
+        assert a_priori_check(rep.problem, rep, c_est=1.0)["satisfied"]
+
     def test_requires_convergence(self):
         p = Problem(kernel=Kernel.riesz(1.0, 3),
                     sigma=Measure.atomic([(0.0, 0.0, 0.0)], [1.0]), q=0.5)
@@ -186,6 +241,11 @@ class TestMinimalityProbe:
         rep = solve(p)
         probe = minimality_probe(p, rep, v0_scale=3.0)
         assert probe["agrees"]
+
+    def test_refuses_another_problem(self):
+        rep = solve(scalar_problem(m=1.0))
+        with pytest.raises(ValueError, match="not the problem"):
+            minimality_probe(scalar_problem(m=1.0, q=0.9), rep, v0_scale=2.0)
 
     def test_scale_must_exceed_one(self):
         p = scalar_problem()
