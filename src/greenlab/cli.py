@@ -72,7 +72,7 @@ def _cmd_solve(args) -> int:
     data = _load_json(args.input)
     try:
         problem = Problem.from_dict(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"problem file has a missing or malformed field: {exc}") from exc
     del data  # the parsed input, matrix and all, is not needed past here
     tol = args.tol if args.tol is not None else problem.default_tol()
@@ -106,7 +106,7 @@ def _cmd_energy(args) -> int:
         kernel = Kernel.from_dict(data["kernel"])
         omega = Measure.from_dict(data["omega"])
         gamma = float(data["gamma"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"energy file has a missing or malformed field: {exc}") from exc
     if kernel.variant == INTERVAL and omega.variant == GRID:
         result = ibp_check(kernel, omega, gamma).to_dict()
@@ -205,7 +205,7 @@ def _cmd_verify(args) -> int:
             raise InputError(f"manifest entries must be objects, got {type(entry).__name__}")
         try:
             reports.append(_manifest_check(entry, args.seed))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"bad manifest entry {entry.get('check')!r}: {exc}") from exc
     out = _base_report("verify", {
         "input": args.input, "seed": args.seed, "n_checks": len(checks),
@@ -282,10 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, IndexError, KeyError) as exc:
+    except (InputError, ValueError, IndexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import TINY, ext_power, weighted_sum
+from .extreal import TINY, ext_power
 from .kernels import INTERVAL, Kernel
-from .measures import GRID, Field, Measure
+from .measures import GRID, Field, Measure, power_integral
 from .potentials import potential_values
 
 
@@ -33,11 +33,6 @@ class EnergyReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def power_integral(values, expo: float, weights) -> float:
-    """Integral of values^expo against per-site weights; may be +inf."""
-    return float(weighted_sum(ext_power(values, expo), weights))
 
 
 def cross_energy(kernel: Kernel, source: Measure, expo: float,

@@ -8,7 +8,9 @@ conventions once so every module agrees:
 * products inside integrals: ``0 * inf = 0`` (a null weight or a null
   kernel value contributes no mass, whatever the other factor is);
 * summation: fixed-order pairwise summation (``np.sum``), so results do
-  not depend on scheduling or BLAS threading.
+  not depend on scheduling or BLAS threading;
+* overflow: a power, product or sum past the float range is +inf, the
+  extended-real result, and numpy is not asked to warn about it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ _BLOCK_ENTRIES = 1 << 18
 def ext_power(values, expo: float) -> np.ndarray:
     """Elementwise ``values**expo`` on [0, inf] with the conventions above."""
     values = np.asarray(values, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.power(values, expo)
 
 
@@ -35,7 +37,7 @@ def masked_mul(a, b) -> np.ndarray:
     """Elementwise product where ``0 * inf`` is 0 (integration convention)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         out = a * b
     bad = np.isnan(out) & (np.isnan(a) == False) & (np.isnan(b) == False)  # noqa: E712
     if bad.any():
@@ -50,7 +52,8 @@ def weighted_sum(gram, weights) -> np.ndarray:
     contain +inf (reweighted measures); a zero on either side kills the term.
     """
     contrib = masked_mul(gram, weights)
-    return np.sum(contrib, axis=-1)
+    with np.errstate(over="ignore"):
+        return np.sum(contrib, axis=-1)
 
 
 def row_blocks(n_rows: int, n_cols: int) -> list:
@@ -71,11 +74,12 @@ def finite_row_sums(gram, v) -> np.ndarray:
     For finite operands only: with no 0 * inf term the mask of
     ``weighted_sum`` cannot act, so this gives its bits.
     """
-    if gram.size <= _BLOCK_ENTRIES:
-        return np.sum(gram * v, axis=-1)
-    out = np.empty(gram.shape[0])
-    for rows in row_blocks(*gram.shape):
-        out[rows] = np.sum(gram[rows] * v, axis=-1)
+    with np.errstate(over="ignore"):
+        if gram.size <= _BLOCK_ENTRIES:
+            return np.sum(gram * v, axis=-1)
+        out = np.empty(gram.shape[0])
+        for rows in row_blocks(*gram.shape):
+            out[rows] = np.sum(gram[rows] * v, axis=-1)
     return out
 
 

@@ -3,8 +3,9 @@
 Two variants: atomic measures (distinct sites, nonnegative weights) and
 1-d grid densities (N uniform cells on (0,1), midpoint quadrature).  A
 ``Field`` is just an array of values paired with the measure whose sites
-it was sampled on; every Lp norm in the package goes through
-:func:`lp_norm` so the weighting convention lives in one place.
+it was sampled on; every integral of a power against a measure's weights
+goes through :func:`power_integral`, and every Lp norm through
+:func:`lp_norm`, so the weighting convention lives in one place.
 
 Sums use numpy's fixed-order pairwise summation, so results are
 bit-reproducible run to run.
@@ -44,6 +45,8 @@ class Measure:
                 raise ValueError("atomic sites must be distinct")
             if sites.dtype.kind not in "biuf":
                 raise ValueError("atomic sites must be numbers")
+            if not np.all(np.isfinite(sites)):
+                raise ValueError("atomic sites must be finite")
             self.sites = sites
             self.weights = weights
         elif self.variant == GRID:
@@ -163,12 +166,15 @@ def same_sampling(f: Field, m: Measure) -> bool:
     return a.n_cells == b.n_cells and bool(np.array_equal(a.values, b.values))
 
 
+def power_integral(values, expo: float, weights) -> float:
+    """Integral of values^expo against per-site weights; may be +inf."""
+    return float(weighted_sum(ext_power(values, expo), weights))
+
+
 def lp_norm(f: Field, p: float, m: Measure) -> float:
     """(Integral of |f|^p dm)^(1/p); +inf propagates through."""
     if not p > 0:
         raise ValueError("p must be > 0")
     if not same_sampling(f, m):
         raise ValueError("field is not sampled against this measure")
-    powered = ext_power(np.abs(f.values), p)
-    total = float(weighted_sum(powered, m.integration_weights))
-    return float(ext_power(total, 1.0 / p))
+    return float(ext_power(power_integral(np.abs(f.values), p, m.integration_weights), 1.0 / p))

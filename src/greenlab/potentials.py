@@ -46,7 +46,7 @@ import numpy as np
 
 from .extreal import ext_power, finite_row_sums, masked_mul, weighted_sum
 from .kernels import INTERVAL, MATRIX, RIESZ, Kernel
-from .measures import GRID, Field, Measure
+from .measures import GRID, Field, Measure, power_integral
 
 Targets = Union[Measure, np.ndarray, list, None]
 
@@ -197,10 +197,10 @@ def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float
     omega's operator on its own sites, its weights and G omega there."""
 
     def ratio(f: np.ndarray) -> float:
-        den = float(ext_power(float(weighted_sum(ext_power(f, p), w)), 1.0 / p))
+        den = float(ext_power(power_integral(f, p, w), 1.0 / p))
         if den == 0.0 or np.isnan(den):
             return 0.0
-        num = float(ext_power(float(weighted_sum(ext_power(apply(f), r), w)), 1.0 / r))
+        num = float(ext_power(power_integral(apply(f), r, w), 1.0 / r))
         if np.isinf(num) and np.isinf(den):
             return 0.0
         return num / den
@@ -241,46 +241,41 @@ def iterated_potential(kernel: Kernel, omega: Measure, s: float,
     """
     if not s > 0:
         raise ValueError("s must be > 0")
-    base = potential_values(kernel, omega, omega.support_sites)
+    op = green_operator(kernel, omega.support_sites, omega)
+    base = op()
     sites, ref = _target_sites(kernel, omega, targets)
-    return Field(ref, green_operator(kernel, sites, omega)(ext_power(base, s - 1.0)))
+    if not np.array_equal(sites, omega.support_sites):
+        op = green_operator(kernel, sites, omega)
+    return Field(ref, op(ext_power(base, s - 1.0)))
 
 
 def domain_sites(kernel: Kernel, *meas: Optional[Measure]):
-    """The natural evaluation set standing in for the whole domain.
+    """The natural evaluation set standing in for the whole domain, and
+    where each measure sits in it.
 
     Matrix kernels: every matrix site.  Grid measures: the common grid's
     midpoints.  Coordinate atoms: the (sorted, deduplicated) union of all
-    atom sites, the only points available.
+    atom sites, the only points available.  Returns ``(sites, positions)``
+    with one index array per measure (None for an absent one), so that
+    ``sites[positions[i]]`` are the support sites of the i-th measure.
     """
-    if kernel.variant == MATRIX:
-        return np.arange(kernel.n_sites)
     present = [m for m in meas if m is not None]
-    if not present:
+    for m in present:
+        _check_compat(kernel, m)
+    if kernel.variant == MATRIX:
+        sites = np.arange(kernel.n_sites)
+        pos = [kernel._as_sites(m.sites) for m in present]
+    elif not present:
         raise ValueError("need at least one measure to infer the site set")
-    grids = [m for m in present if m.variant == GRID]
-    if grids:
-        n = grids[0].n_cells
-        if any(m.n_cells != n for m in grids) or len(grids) != len(present):
+    elif any(m.variant == GRID for m in present):
+        n = present[0].n_cells
+        if any(m.variant != GRID or m.n_cells != n for m in present):
             raise ValueError("all measures must share one grid")
-        return grids[0].midpoints
-    sites = [np.asarray(m.sites, dtype=float) for m in present]
-    stacked = np.concatenate(sites, axis=0)
-    return np.unique(stacked, axis=0) if stacked.ndim > 1 else np.unique(stacked)
-
-
-def site_positions(eval_sites, sites) -> np.ndarray:
-    """Positions of ``sites`` inside ``eval_sites`` (exact matches)."""
-    eval_sites = np.asarray(eval_sites)
-    sites = np.asarray(sites)
-    if eval_sites.ndim == 1:
-        order = np.argsort(eval_sites, kind="stable")
-        pos = order[np.searchsorted(eval_sites[order], sites)]
-        if not np.array_equal(eval_sites[pos], sites):
-            raise ValueError("some sites are missing from the evaluation set")
-        return pos
-    lookup = {tuple(row): i for i, row in enumerate(eval_sites)}
-    try:
-        return np.array([lookup[tuple(row)] for row in sites], dtype=int)
-    except KeyError:
-        raise ValueError("some sites are missing from the evaluation set") from None
+        sites, pos = present[0].midpoints, [np.arange(n)] * len(present)
+    else:
+        stacked = np.concatenate([np.asarray(m.sites, dtype=float) for m in present], axis=0)
+        sites, inverse = np.unique(stacked, return_inverse=True,
+                                   axis=0 if stacked.ndim > 1 else None)
+        pos = np.split(inverse.reshape(-1), np.cumsum([m.size for m in present])[:-1])
+    found = iter(pos)
+    return sites, [None if m is None else next(found) for m in meas]

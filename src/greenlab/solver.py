@@ -27,11 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import power_integral
 from .extreal import TINY, ext_power, sup_abs
 from .kernels import Kernel, resolve_h
-from .measures import GRID, Field, Measure, lp_norm, total_mass
-from .potentials import domain_sites, green_operator, max_norm_ratio, site_positions
+from .measures import GRID, Field, Measure, lp_norm, power_integral, total_mass
+from .potentials import domain_sites, green_operator, max_norm_ratio
 
 DEFAULT_TOL_ATOMIC = 1e-10
 DEFAULT_TOL_GRID = 1e-7
@@ -162,15 +161,10 @@ class _Workspace:
 
     def __init__(self, problem: Problem):
         self.problem = p = problem
-        self.eval_sites = domain_sites(p.kernel, p.sigma, p.mu)
-        self.sigma_pos = site_positions(self.eval_sites, p.sigma.support_sites)
+        self.eval_sites, (self.sigma_pos, self.mu_pos) = domain_sites(p.kernel, p.sigma, p.mu)
         self.op_sigma = green_operator(p.kernel, self.eval_sites, p.sigma)
         self.w_sigma = p.sigma.integration_weights
         self.gsigma = self.op_sigma()
-        if p.mu is not None:
-            self.mu_pos = site_positions(self.eval_sites, p.mu.support_sites)
-        else:
-            self.mu_pos = None
         if not p.mu_is_zero:
             self.gmu = green_operator(p.kernel, self.eval_sites, p.mu)()
         else:

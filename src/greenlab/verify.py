@@ -21,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import grid_derivative, power_integral
+from .energy import grid_derivative
 from .extreal import TINY, ext_power, weighted_sum
 from .kernels import Kernel, distance_powers, resolve_h, resolve_quasi_symmetry
-from .measures import GRID, Field, Measure, total_mass
-from .potentials import domain_sites, green_operator, max_norm_ratio, site_positions
+from .measures import GRID, Field, Measure, power_integral, total_mass
+from .potentials import domain_sites, green_operator, max_norm_ratio
 from .serialize import digest
 
 REL_TOL_ATOMIC = 1e-12
@@ -113,14 +113,13 @@ def check_iterated(kernel: Kernel, omega: Measure, s: float, h: float) -> Verify
     if not s > 0:
         raise ValueError("s must be > 0")
     dig = _digest_inputs(check="iterated", kernel=kernel, omega=omega, s=s, h=h)
-    targets = domain_sites(kernel, omega)
+    targets, (pos,) = domain_sites(kernel, omega)
     op = green_operator(kernel, targets, omega)
     pot = op()
     lhs = ext_power(pot, s)
     factor = s * h ** (s - 1.0)
     # G((G omega)^(s-1) d omega): the base is the same potential at omega's sites
-    base = pot[site_positions(targets, omega.support_sites)]
-    rhs = factor * op(ext_power(base, s - 1.0))
+    rhs = factor * op(ext_power(pot[pos], s - 1.0))
     upper_ok = bool(np.all(_le(lhs, rhs, REL_TOL_ATOMIC)))
     lower_ok = bool(np.all(_le(rhs, lhs, REL_TOL_ATOMIC)))
     finite = np.isfinite(lhs) & np.isfinite(rhs)
@@ -399,9 +398,9 @@ def check_hls_condition(alpha: float, n: int, beta: float,
         own = np.arange(rows.start, min(rows.stop, m))
         gram[own - rows.start, own] = 0.0  # self-interaction dropped
         pot[rows] = weighted_sum(gram, w)
-    energy = float(weighted_sum(ext_power(pot, beta), w))
+    energy = power_integral(pot, beta, w)
     density = np.where(vol > 0, w / vol, 0.0)
-    ls_norm = float(ext_power(float(np.sum(ext_power(density, s) * vol)), 1.0 / s))
+    ls_norm = float(ext_power(power_integral(density, s, vol), 1.0 / s))
     passed = bool(s > 1.0 and np.isfinite(energy) and np.isfinite(ls_norm))
     return VerifyReport("hls", dig, energy, ls_norm, s, passed, s - 1.0,
                         {"status": "checked", "s": s,

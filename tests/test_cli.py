@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenlab
 from greenlab import Problem, a_priori_check, solve
@@ -33,6 +38,34 @@ GRID_PROBLEM = {
     "mu": {"variant": "grid", "n_cells": 5, "values": [0.5, 1.0, 0.0, 2.0, 1.0]},
     "q": 0.5,
     "gamma": 0.75,
+}
+
+
+# one small manifest entry per check kind
+FUZZ_MANIFEST_ENTRIES = {
+    "iterated": {"check": "iterated", "kernel": {"variant": "matrix", "values": [[2, 1], [1, 2]]},
+                 "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1, 1]}, "s": 2.0},
+    "lower_bound": {"check": "lower_bound", "kernel": {"variant": "matrix", "values": [[2.0]]},
+                    "omega": {"variant": "atomic", "sites": [0], "weights": [1.0]}, "q": 0.5,
+                    "h": 1.0},
+    "norm_constant": {"check": "norm_constant",
+                      "kernel": {"variant": "matrix", "values": [[2, 1], [1, 2]]},
+                      "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1, 1]},
+                      "p": 3.0, "r": 1.5, "samples": 4, "seed": 1},
+    "equivalence": {"check": "equivalence",
+                    "kernel": {"variant": "matrix", "values": [[2, 1], [1, 2]]},
+                    "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1, 1]},
+                    "p": 3.0, "r": 1.5, "samples": 4},
+    "relation_chain": {"check": "relation_chain",
+                       "kernel": {"variant": "matrix", "values": [[1.0]]},
+                       "sigma": {"variant": "atomic", "sites": [0], "weights": [1.0]},
+                       "mu": {"variant": "atomic", "sites": [0], "weights": [1.0]},
+                       "q": 0.5, "gamma": 1.0},
+    "hls": {"check": "hls", "alpha": 0.25, "n": 1, "beta": 1.0,
+            "omega": {"variant": "grid", "n_cells": 4, "values": [1.0, 1.0, 1.0, 1.0]}},
+    "hardy": {"check": "hardy", "kernel": {"variant": "interval1d"},
+              "omega": {"variant": "grid", "n_cells": 4, "values": [1.0, 1.0, 1.0, 1.0]},
+              "phi": "sin_pi"},
 }
 
 
@@ -469,10 +502,27 @@ class TestExponents:
     ("solve", {**GOLDEN_PROBLEM, "kernel": {"variant": "interval1d"}, "mu": None,
                "sigma": {"variant": "grid", "n_cells": "2", "values": [1, 1]}},
      "n_cells must be an integer >= 1, got '2'"),
+    ("solve", {**GOLDEN_PROBLEM, "kernel": {"variant": "interval1d"}, "mu": None,
+               "sigma": {"variant": "atomic", "sites": [math.nan, 0.5], "weights": [1, 1]}},
+     "atomic sites must be finite"),
+    ("solve", {**GOLDEN_PROBLEM, "kernel": {"variant": "riesz", "alpha": 0.25, "dim": 1},
+               "mu": None,
+               "sigma": {"variant": "atomic", "sites": [math.inf, 0.5], "weights": [1, 1]}},
+     "atomic sites must be finite"),
+    # JSON's Infinity parses as a float, which int() cannot take
+    ("solve", {**GOLDEN_PROBLEM, "kernel": {"variant": "riesz", "alpha": 0.25, "dim": math.inf}},
+     "problem file has a missing or malformed field: cannot convert float infinity"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "seed": math.inf}]},
+     "bad manifest entry 'norm_constant': cannot convert float infinity"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "samples": math.inf}]},
+     "bad manifest entry 'equivalence': cannot convert float infinity"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["hls"], "n": math.inf}]},
+     "bad manifest entry 'hls': cannot convert float infinity"),
 ], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
         "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
         "solve-null-site", "solve-object-site", "solve-fractional-n-cells",
-        "solve-string-n-cells"])
+        "solve-string-n-cells", "solve-nan-site", "solve-infinite-site", "solve-infinite-dim",
+        "verify-infinite-seed", "verify-infinite-samples", "verify-infinite-n"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err
@@ -481,17 +531,85 @@ def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert "Traceback" not in err
 
 
-def test_module_entry_point_runs():
-    # the child runs the greenlab this suite imported, installed or not
+def run_module(*argv):
+    """``python -m greenlab`` in a child running the greenlab this suite
+    imported, installed or not."""
     src = str(Path(greenlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "greenlab", "exponents", "--n", "3", "--p", "2",
-         "--q", "0.5"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "greenlab", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_runs():
+    proc = run_module("exponents", "--n", "3", "--p", "2", "--q", "0.5")
     assert proc.returncode == 0
     assert '"gamma": 1.0' in proc.stdout
+
+
+ONE_ATOM = {"variant": "atomic", "sites": [0], "weights": [1.0]}
+
+
+@pytest.mark.parametrize("problem", [
+    {"kernel": {"variant": "matrix", "values": [[1e200]]}, "sigma": ONE_ATOM,
+     "q": 0.45, "gamma": 0.05},
+    {"kernel": {"variant": "matrix", "values": [[1e200]]}, "sigma": ONE_ATOM,
+     "mu": {**ONE_ATOM, "weights": [1e200]}, "q": 0.5},
+    {"kernel": {"variant": "matrix", "values": [[1e200, 1e200], [1e200, 1e200]]},
+     "sigma": {"variant": "atomic", "sites": [0, 1], "weights": [1e200, 1e200]}, "q": 0.5},
+], ids=["power", "mu-product", "row-sums"])
+def test_float_range_runs_print_no_warning(tmp_path, problem):
+    # overflow to +inf is the extended-real result, and the report says
+    # that the run did not finish
+    proc = run_module("solve", write(tmp_path, "p.json", problem))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["result"]["converged"] is False
+
+
+FUZZ_ENERGY = {"kernel": {"variant": "interval1d"},
+               "omega": {"variant": "grid", "n_cells": 4, "values": [1.0, 1.0, 1.0, 1.0]},
+               "gamma": 1.0}
+FUZZ_POOL = [None, "x", [], {}, [1], -1, 0, 0.5, True, math.inf, -math.inf, math.nan]
+
+
+def _fuzz_paths(doc):
+    """Every field of ``doc`` and every field one level below it."""
+    return [(key,) for key in doc] + [(key, sub) for key, value in doc.items()
+                                      if isinstance(value, dict) for sub in value]
+
+
+def _fuzz_cases():
+    cases = [("solve", GOLDEN_PROBLEM, ()), ("energy", FUZZ_ENERGY, ())]
+    cases += [("verify", entry, ("checks", 0)) for entry in FUZZ_MANIFEST_ENTRIES.values()]
+    return [(command, doc, prefix, path) for command, doc, prefix in cases
+            for path in _fuzz_paths(doc)]
+
+
+def _replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_fuzz_cases()), st.sampled_from(FUZZ_POOL))
+def test_fuzzed_input_never_escapes_main(tmp_path_factory, case, value):
+    # one field replaced by a value of the wrong kind or range: the run
+    # ends with a report (0 or 1) or exactly one error line (2)
+    command, doc, prefix, path = case
+    payload = _replaced({"checks": [doc]} if prefix else doc, prefix + path, value)
+    work = tmp_path_factory.mktemp("fuzz")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, write(work, "in.json", payload), "--out", str(work / "r.json")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
 
 
 def _walk(obj):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlab import Kernel, Measure, iterated_potential, potential
+from greenlab import Kernel, Measure, domain_sites, iterated_potential, potential
 from greenlab import extreal
 from greenlab.extreal import masked_mul, row_blocks, weighted_sum
 from greenlab.potentials import _riesz_column, green_operator, quadrature_gram
@@ -146,6 +146,43 @@ class TestIterated:
             assert np.all(lhs <= rhs * (1 + 1e-12) + 1e-300)
         if s <= 1:
             assert np.all(lhs >= rhs * (1 - 1e-12) - 1e-300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["matrix_subset", "grid", "atoms_1d", "atoms_3d"]),
+       st.integers(min_value=0, max_value=2**31))
+def test_domain_sites_place_each_measure_at_its_support(kind, seed):
+    # sites[pos] gives back each measure's support sites in the measure's
+    # own order; atoms overlap and come unsorted, so the set is their union
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+
+    def subset(pool):
+        return pool[rng.permutation(len(pool))[:int(rng.integers(1, len(pool) + 1))]]
+
+    if kind == "matrix_subset":
+        kernel = Kernel.matrix(random_green_matrix(rng, n))
+        sub = subset(np.arange(n))
+        meas = [Measure.atomic(sub, random_weights(rng, len(sub))), None]
+    elif kind == "grid":
+        kernel = Kernel.riesz(0.25, 1)
+        meas = [Measure.grid(n, random_weights(rng, n)), Measure.lebesgue(n)]
+    else:
+        if kind == "atoms_1d":
+            kernel, pool = Kernel.interval1d(), (np.arange(2 * n) + 0.5) / (2 * n)
+        else:
+            kernel = Kernel.riesz(1.0, 3)
+            pool = np.unique(rng.integers(-2, 3, (2 * n, 3)), axis=0)
+        meas = [Measure.atomic(sites, np.ones(len(sites)))
+                for sites in (subset(pool), subset(pool))]
+    sites, positions = domain_sites(kernel, *meas)
+    assert len(positions) == len(meas)
+    for m, pos in zip(meas, positions):
+        if m is None:
+            assert pos is None
+        else:
+            assert np.array_equal(sites[pos], m.support_sites)
+    assert len(np.unique(sites, axis=0)) == len(sites)
 
 
 def test_riesz_on_grid_diagonal_subdivision():

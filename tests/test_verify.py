@@ -399,8 +399,10 @@ def test_reports_are_deterministic():
                                   Measure.grid(40, np.full(40, 0.5)), 0.5, 1.0, h=1.0), 0, 0),
     (lambda: check_relation_chain(Kernel.riesz(0.25, 1), Measure.lebesgue(40),
                                   Measure.grid(40, np.full(40, 0.5)), 0.5, 1.0, h=1.0), 0, 2),
+    (lambda: iterated_potential(K22, OM22, 2.0), 1, 0),
+    (lambda: iterated_potential(Kernel.riesz(0.25, 1), Measure.lebesgue(64), 2.0), 0, 1),
 ], ids=["iterated-interval", "iterated-riesz", "norm-equivalence", "ibp", "relation-chain",
-        "relation-chain-riesz"])
+        "relation-chain-riesz", "iterated-potential-matrix", "iterated-potential-riesz"])
 def test_each_check_builds_its_gram_once(monkeypatch, run, builds, ffts):
     # interval kernels build no gram: their operators are prefix sums; a
     # Riesz kernel on a grid, evaluated at its midpoints, sets up one FFT
@@ -457,6 +459,6 @@ def test_iterated_sides_are_the_reference_potentials():
     om = Measure.atomic([0.7, 0.2, 0.5], [0.3, 1.0, 0.6])
     for s in (0.5, 2.0):
         rep = check_iterated(k, om, s, h=1.0)
-        targets = domain_sites(k, om)
+        targets = domain_sites(k, om)[0]
         assert rep.lhs in potential(k, om, targets).values ** s
         assert rep.rhs in s * iterated_potential(k, om, s, targets).values
