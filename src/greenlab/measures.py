@@ -150,7 +150,8 @@ class Field:
 
 
 def total_mass(m: Measure) -> float:
-    return float(np.sum(m.integration_weights))
+    with np.errstate(over="ignore"):  # past the float range it is +inf
+        return float(np.sum(m.integration_weights))
 
 
 def same_sampling(f: Field, m: Measure) -> bool:

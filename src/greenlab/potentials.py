@@ -113,9 +113,10 @@ def _interval_operator(kernel: Kernel, target_sites, omega: Measure):
 
     def apply(f=None) -> np.ndarray:
         v = (w if f is None else masked_mul(w, f))[order]
-        left = np.concatenate(([0.0], np.cumsum(s * v)))
-        right = np.concatenate((np.cumsum(((1.0 - s) * v)[::-1])[::-1], [0.0]))
-        return (1.0 - t) * left[k] + t * right[k]
+        with np.errstate(over="ignore"):  # past the float range a sum is +inf
+            left = np.concatenate(([0.0], np.cumsum(s * v)))
+            right = np.concatenate((np.cumsum(((1.0 - s) * v)[::-1])[::-1], [0.0]))
+            return (1.0 - t) * left[k] + t * right[k]
 
     return apply
 
@@ -137,27 +138,58 @@ def _riesz_column(kernel: Kernel, omega: Measure) -> np.ndarray:
     return col
 
 
+def toeplitz_operator(col: np.ndarray, lengths):
+    """v -> T v for the symmetric multilevel Toeplitz matrix T whose
+    entry between lattice points i and j is ``col[|i - j|]``, with ``col``
+    and v shaped like the lattice.
+
+    ``col`` sits in a circulant with ``lengths[c] >= 2 L_c - 1`` entries
+    on axis c (offset -k wraps to ``lengths[c] - k``), whose spectrum is
+    taken once by ``np.fft.rfftn``; an apply is one forward and one
+    inverse real FFT over those lengths.  Over one axis these are
+    ``rfft``/``irfft``.  v must be finite; a product past the float range
+    is taken again on v / 2^e, with 2^e >= max|v|, and scaled back, so a
+    value past the range is +inf, not NaN, and numpy does not warn.
+    """
+    shape, axes = col.shape, tuple(range(col.ndim))
+    padded = np.pad(col, [(0, 1)] * col.ndim)  # index L_c reads a zero
+    index = []
+    for L, M in zip(shape, lengths):
+        j = np.arange(M)
+        index.append(np.where(j < L, j, np.where(j > M - L, M - j, L)))
+    spec = np.fft.rfftn(padded[np.ix_(*index)])
+    corner = tuple(slice(0, L) for L in shape)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(spec * np.fft.rfftn(v, lengths, axes), lengths, axes)[corner]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = product(v)
+            if not np.isfinite(out).all():
+                e = np.frexp(np.max(np.abs(v)))[1]
+                out = np.ldexp(product(np.ldexp(v, -e)), e)
+        return out
+
+    return apply
+
+
 def _riesz_grid_operator(kernel: Kernel, omega: Measure):
     """The Riesz-on-grid operator at the midpoints by circulant embedding.
 
     The column sits in a circulant of length m, the next power of two
-    >= 2N - 1, whose spectrum is taken once; an apply is one forward and
-    one inverse real FFT of length m.  No N x N array is built.
+    >= 2N - 1 (``toeplitz_operator``).  No N x N array is built.
     """
     col = _riesz_column(kernel, omega)
     n = len(col)
-    m = 1 << (2 * n - 2).bit_length()
-    circ = np.zeros(m)
-    circ[:n] = col
-    circ[m - n + 1:] = col[:0:-1]  # negative offsets wrap to the end
-    spec = np.fft.rfft(circ)
+    toeplitz = toeplitz_operator(col, (1 << (2 * n - 2).bit_length(),))
     w = omega.integration_weights
 
     def apply(f=None) -> np.ndarray:
         v = w if f is None else masked_mul(w, f)
         if not np.isfinite(v).all():  # positive finite column: every row sums to sum(v)
             return np.full(n, np.sum(v))
-        return np.fft.irfft(spec * np.fft.rfft(v, m), m)[:n]
+        return toeplitz(v)
 
     return apply
 

@@ -39,8 +39,42 @@ def jsonable(obj):
     return obj
 
 
+# JSON text of one entry of a flat int or finite float array, as ``json`` writes it
+_ENTRY_TEXT = {"i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
+
+
 def dumps(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2)
+    """``json.dumps(jsonable(obj), sort_keys=True, indent=2)``, byte for byte.
+
+    A 1-d int or finite float array is listed in one join of its entries'
+    text rather than walked entry by entry in ``json``'s pure-Python
+    indenting encoder; a deeper array is listed as its rows.
+    """
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, newline: str) -> str:
+    """``dumps`` of obj at the level whose line break and indent are ``newline``."""
+    inner = newline + "  "
+
+    def listed(opening: str, parts, closing: str) -> str:
+        parts = list(parts)
+        if not parts:
+            return opening + closing
+        return opening + inner + ("," + inner).join(parts) + newline + closing
+
+    if isinstance(obj, np.ndarray):
+        kind = obj.dtype.kind
+        if obj.ndim == 1 and kind in _ENTRY_TEXT and (kind != "f" or np.isfinite(obj).all()):
+            return listed("[", map(_ENTRY_TEXT[kind], obj.tolist()), "]")
+        obj = list(obj) if obj.ndim > 1 else jsonable(obj)
+    if isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}
+        return listed("{", (json.dumps(k) + ": " + _dumps(obj[k], inner)
+                            for k in sorted(obj)), "}")
+    if isinstance(obj, (list, tuple)):
+        return listed("[", (_dumps(v, inner) for v in obj), "]")
+    return json.dumps(jsonable(obj))
 
 
 def echo(obj):
@@ -62,11 +96,13 @@ def digest(obj) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows as CSV, non-finite floats encoded as in reports."""
+    """Write a header and rows of plain Python values as CSV.  csv writes a
+    float by its repr, so non-finite ones read ``nan``, ``inf``, ``-inf``,
+    as in reports."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(jsonable(list(row)) for row in rows)
+        writer.writerows(rows)
 
 
 def write_field_csv(path, values: np.ndarray, sites: np.ndarray) -> None:

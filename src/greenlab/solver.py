@@ -14,9 +14,10 @@ Sublinearity makes the contraction rate near the fixed point roughly q,
 so the default iteration budget is generous.  A run that cannot finish
 (infinite condition integral, non-finite start, or iterates escaping to
 1e300) is reported as a non-converged result with a diagnostic, never
-raised.  When G sigma or G mu holds +inf, the converse half of the
-existence theory says no solution exists, and the diagnostic says so.
-Otherwise every potential is finite, a discrete solution exists, and the
+raised.  When G sigma or G mu holds +inf where the kernel is infinite
+(a Riesz kernel on atoms), the converse half of the existence theory
+says no solution exists, and the diagnostic says so.  Otherwise the
+kernel is finite at every site, a discrete solution exists, and the
 diagnostic says that it lies outside the float range.
 """
 
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .extreal import TINY, ext_power, sup_abs
-from .kernels import Kernel, resolve_h
+from .kernels import RIESZ, Kernel, resolve_h
 from .measures import GRID, Field, Measure, lp_norm, power_integral, total_mass
 from .potentials import domain_sites, green_operator, max_norm_ratio
 
@@ -197,9 +198,13 @@ def check_conditions(problem: Problem) -> dict:
 
 def _failure(ws: _Workspace, what: str) -> str:
     """The diagnostic of a run that cannot finish: a violated necessary
-    condition only if G sigma or G mu holds +inf, else a finite problem
-    whose solution the floats cannot hold."""
-    if np.isposinf(ws.gsigma).any() or np.isposinf(ws.gmu).any():
+    condition only if G sigma or G mu holds +inf where the kernel itself
+    is infinite, i.e. a Riesz kernel on atoms (each atom is an evaluation
+    site), else a finite problem whose solution the floats cannot hold.
+    A matrix, the interval kernel and a Riesz grid are finite at every site."""
+    p = ws.problem
+    singular = p.kernel.variant == RIESZ and p.sigma.variant != GRID
+    if singular and (np.isposinf(ws.gsigma).any() or np.isposinf(ws.gmu).any()):
         return "necessary condition violated: " + what
     return "float range exceeded: " + what
 
@@ -287,6 +292,7 @@ def a_priori_check(problem: Problem, report: SolveReport,
     the ((gamma+q)/q, gamma+q) weighted-norm constant C of sigma; if omitted,
     it is probed on the report's workspace, building no operator: sigma's
     operator on sigma's sites, ``A_PRIORI_SAMPLES`` densities, seed 0.
+    The bound is satisfied only by a finite norm: inf <= inf proves nothing.
     ``problem`` must be ``report.problem``.
     """
     _same_problem(problem, report)
@@ -305,7 +311,7 @@ def a_priori_check(problem: Problem, report: SolveReport,
     return {
         "bound_value": float(bound),
         "norm_value": float(norm_u),
-        "satisfied": bool(norm_u <= bound * (1.0 + 1e-9)),
+        "satisfied": bool(np.isfinite(norm_u) and norm_u <= bound * (1.0 + 1e-9)),
         "c_est": float(c_est),
         "c": float(c),
     }

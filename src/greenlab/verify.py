@@ -25,7 +25,7 @@ from .energy import grid_derivative
 from .extreal import TINY, ext_power, weighted_sum
 from .kernels import Kernel, distance_powers, resolve_h, resolve_quasi_symmetry
 from .measures import GRID, Field, Measure, power_integral, total_mass
-from .potentials import domain_sites, green_operator, max_norm_ratio
+from .potentials import domain_sites, green_operator, max_norm_ratio, toeplitz_operator
 from .serialize import digest
 
 REL_TOL_ATOMIC = 1e-12
@@ -360,6 +360,58 @@ def exponent_table(n: int, p: float, q: float) -> dict:
     }
 
 
+def _lattice(pts: np.ndarray):
+    """``(shape, spacings, index)`` when the points fill a uniform lattice,
+    else None; ``index`` is each point's flat position in the lattice.
+
+    On each axis with L distinct coordinates, every one must lie within
+    4 eps max|coordinate| of ``ax[0] + i h``, h = (ax[-1] - ax[0])/(L - 1),
+    and the product of the L's must be the number of points (sites are
+    distinct, so every lattice point then holds exactly one).
+    """
+    shape, spacings, multi = [], [], []
+    for coord in pts.T:
+        ax, inverse = np.unique(coord, return_inverse=True)
+        L = len(ax)
+        h = (ax[-1] - ax[0]) / (L - 1) if L > 1 else 0.0
+        slack = 4.0 * np.finfo(float).eps * np.max(np.abs(ax))
+        if np.any(np.abs(ax - (ax[0] + np.arange(L) * h)) > slack):
+            return None
+        shape.append(L)
+        spacings.append(h)
+        multi.append(inverse.reshape(-1))
+    if int(np.prod(shape)) != len(pts):
+        return None
+    return tuple(shape), spacings, np.ravel_multi_index(multi, shape)
+
+
+def _lattice_potential(pts: np.ndarray, w: np.ndarray, expo: float):
+    """sum over j != i of w_j |x_i - x_j|^expo at every point x_i of a
+    uniform lattice (``_lattice``), else None.
+
+    It is a multilevel Toeplitz product by FFT (``toeplitz_operator``,
+    2 L points per axis): the kernel at integer offset k is |k h|^expo,
+    0 at k = 0.  Its rounding error is about eps times the largest
+    potential, so it is kept only when it is finite and every atom of
+    positive weight sees at least 1/128 of the largest potential.
+    """
+    lattice = _lattice(pts)
+    if lattice is None:
+        return None
+    shape, spacings, index = lattice
+    offsets = np.ix_(*(np.arange(L) * h for L, h in zip(shape, spacings)))
+    v = np.empty(len(w))
+    v[index] = w
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        col = np.power(np.sqrt(sum(x * x for x in offsets)), expo)
+        col.flat[0] = 0.0  # self-interaction dropped
+        pot = toeplitz_operator(col, [2 * L for L in shape])(v.reshape(shape))
+    pot = np.maximum(pot.reshape(-1)[index], 0.0)  # a zero potential may round below 0
+    if np.isfinite(pot).all() and pot[w > 0].min(initial=np.inf) >= pot.max(initial=0.0) / 128:
+        return pot
+    return None
+
+
 def check_hls_condition(alpha: float, n: int, beta: float,
                         omega: Measure) -> VerifyReport:
     """Riesz-scale sufficient condition: s = n(beta+1)/(n+2*alpha*beta) > 1
@@ -368,7 +420,11 @@ def check_hls_condition(alpha: float, n: int, beta: float,
     The measure stands in for a bounded compactly supported density:
     atoms in R^n (or a 1-d grid used as a lattice proxy).  Atomic
     self-interaction under the Riesz kernel is dropped (off-diagonal sum);
-    the report flags this deviation from the continuous integral.
+    the report flags this deviation from the continuous integral.  On a
+    uniform lattice the potential is an FFT product (``_lattice_potential``),
+    which agrees with the block sum to about 1e-15 relative, not bit for
+    bit; any other input, or a lattice whose FFT it does not trust, takes
+    the block sum.
     """
     n = int(n)
     if n < 1:
@@ -391,13 +447,15 @@ def check_hls_condition(alpha: float, n: int, beta: float,
         spans = pts.max(axis=0) - pts.min(axis=0)
         box = float(np.prod(spans[spans > 0])) if np.any(spans > 0) else 1.0
         vol = np.full(omega.size, box / max(omega.size, 1))
-    # the potential by blocks of rows, so no (m, m) gram is ever held
-    m = len(pts)
-    pot = np.empty(m)
-    for rows, gram in distance_powers(pts, pts, 2.0 * alpha - n):
-        own = np.arange(rows.start, min(rows.stop, m))
-        gram[own - rows.start, own] = 0.0  # self-interaction dropped
-        pot[rows] = weighted_sum(gram, w)
+    expo = 2.0 * alpha - n
+    pot = _lattice_potential(pts, w, expo)
+    if pot is None:  # the block sum: rows of the gram, none of it held whole
+        m = len(pts)
+        pot = np.empty(m)
+        for rows, gram in distance_powers(pts, pts, expo):
+            own = np.arange(rows.start, min(rows.stop, m))
+            gram[own - rows.start, own] = 0.0  # self-interaction dropped
+            pot[rows] = weighted_sum(gram, w)
     energy = power_integral(pot, beta, w)
     density = np.where(vol > 0, w / vol, 0.0)
     ls_norm = float(ext_power(power_integral(density, s, vol), 1.0 / s))

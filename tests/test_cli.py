@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import greenlab
 from greenlab import Problem, a_priori_check, solve
@@ -233,6 +234,32 @@ class TestSolve:
         assert result["diagnostic"] == "float range exceeded: iterates unbounded"
         assert result["a_priori"] is None and result["iterations"] == 32
 
+    def test_overflowing_g_mu_is_float_range(self, tmp_path):
+        # G mu = 1e200 * 1e200 overflows on a finite kernel: no potential
+        # diverges, so no necessary condition is violated
+        problem = {"kernel": {"variant": "matrix", "values": [[1e200]]},
+                   "sigma": {"variant": "atomic", "sites": [0], "weights": [1.0]},
+                   "mu": {"variant": "atomic", "sites": [0], "weights": [1e200]},
+                   "q": 0.5}
+        out = str(tmp_path / "r.json")
+        assert main(["solve", write(tmp_path, "p.json", problem), "--out", out]) == 1
+        result = load_report(out)["result"]
+        assert result["diagnostic"] == "float range exceeded: I_sigma or G mu is infinite"
+
+    def test_a_priori_bound_is_not_satisfied_by_overflow(self, tmp_path):
+        # u is about 1e290 and its L^0.95(sigma) norm overflows, as does the
+        # bound: inf <= inf is no evidence
+        problem = {"kernel": {"variant": "matrix", "values": [[1e9]]},
+                   "sigma": {"variant": "atomic", "sites": [0], "weights": [1e20]},
+                   "mu": {"variant": "atomic", "sites": [0], "weights": [1.0]},
+                   "q": 0.9, "gamma": 0.05}
+        out = str(tmp_path / "r.json")
+        assert main(["solve", write(tmp_path, "p.json", problem), "--out", out]) == 0
+        result = load_report(out)["result"]
+        assert result["converged"] is True
+        assert result["a_priori"]["norm_value"] == "inf"
+        assert result["a_priori"]["satisfied"] is False
+
     def test_history_csv(self, tmp_path):
         inp = write(tmp_path, "p.json", GOLDEN_PROBLEM)
         out = str(tmp_path / "r.json")
@@ -378,6 +405,23 @@ class TestVerify:
         assert main(["verify", inp, "--out", out]) == 1
         rep = load_report(out)
         assert rep["reports"][0]["passed"] is False
+
+    def test_report_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # a 4^3-lattice hls entry (FFT path), a Riesz-grid iterated entry and
+        # an interval relation_chain entry: the exact report bytes, timestamp
+        # stripped, and the stderr table; the input is named by a relative path
+        monkeypatch.chdir(tmp_path)
+        name = "verify_lattice.manifest.json"
+        (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["verify", name, "--out", "r.json"]) == 0
+        got = strip_timestamp((tmp_path / "r.json").read_text()).encode()
+        assert got == (GOLDEN_DIR / "verify_lattice.json").read_bytes()
+        assert err.getvalue().splitlines() == [
+            "PASS  hls             digest=68474c8b0e83  margin=0.2",
+            "PASS  iterated        digest=c1709477e6b3  margin=0.461",
+            "PASS  relation_chain  digest=54bed50699da  margin=0.104"]
 
     def test_deterministic_modulo_timestamp(self, tmp_path):
         inp = write(tmp_path, "m.json", self.manifest())
@@ -634,3 +678,28 @@ def _walk(obj):
 def test_dumps_of_arrays_is_unchanged(array):
     assert dumps({"a": array}) == json.dumps({"a": _walk(array.tolist())}, sort_keys=True,
                                              indent=2)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308]))
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+               elements=_FLOATS),
+    hnp.arrays(np.float64, st.integers(0, 50), elements=st.floats(-1e300, 1e300)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0)),
+    hnp.arrays(np.bool_, st.integers(0, 5)),
+)
+_LEAVES = st.one_of(
+    _FLOATS, st.integers(), st.sampled_from([10**40, -(2**63) - 1]), st.booleans(),
+    st.none(), st.text(), st.sampled_from(["\u00e9\u4e2d", "\x00\x1f\x7f", "\ud800"]),
+    _FLOATS.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), _ARRAYS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=20))
+def test_dumps_is_the_indenting_json_encoder(obj):
+    assert dumps(obj) == json.dumps(jsonable(obj), sort_keys=True, indent=2)

@@ -95,8 +95,9 @@ class TestHomogeneous:
 
 class TestRunsThatCannotFinish:
     """The four non-converged exits of the sweep.  A necessary condition is
-    violated only when G sigma or G mu holds +inf; a finite problem whose
-    solution the floats cannot hold says that instead."""
+    violated only when G sigma or G mu holds +inf where the kernel is
+    infinite (Riesz atoms); a problem whose kernel is finite at every site
+    and whose solution the floats cannot hold says that instead."""
 
     @staticmethod
     def assert_float_range(rep, what):
@@ -137,6 +138,18 @@ class TestRunsThatCannotFinish:
                     mu=Measure.atomic([(1.0, 0.0, 0.0)], [1.0]), q=0.5)
         rep = solve(p)
         assert rep.diagnostic == "necessary condition violated: I_sigma or G mu is infinite"
+
+    @pytest.mark.parametrize("kernel, sigma, mu", [
+        (Kernel.matrix([[1e200]]), Measure.atomic([0], [1.0]), Measure.atomic([0], [1e200])),
+        (Kernel.interval1d(), Measure.atomic([0.5], [1.0]),
+         Measure.atomic(np.linspace(0.46, 0.54, 9), [1.7e308] * 9)),
+        (Kernel.riesz(0.25, 1), Measure.lebesgue(4), Measure.grid(4, [1e308] * 4)),
+    ], ids=["matrix", "interval", "riesz-grid"])
+    def test_overflowing_potential_on_a_finite_kernel(self, kernel, sigma, mu):
+        # G mu is +inf by overflow, not because the kernel is infinite
+        rep = solve(Problem(kernel=kernel, sigma=sigma, mu=mu, q=0.5))
+        assert np.isposinf(rep.workspace.gmu).any()
+        assert rep.diagnostic == "float range exceeded: I_sigma or G mu is infinite"
 
 
 class TestInhomogeneous:

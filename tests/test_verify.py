@@ -25,7 +25,7 @@ from greenlab import (
     potential,
     solve,
 )
-from greenlab import extreal
+from greenlab import extreal, verify
 from tests.helpers import (
     brute_force_norm_constant,
     count_fft_setups,
@@ -381,6 +381,117 @@ class TestHls:
             check_hls_condition(2.0, 3, 1.0, om)
         with pytest.raises(ValueError):
             check_hls_condition(1.0, 3, 0.0, om)
+
+
+def _lattice_points(axes, order):
+    """The product lattice of the per-axis coordinates, atoms in ``order``."""
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return pts[order]
+
+
+def _block_sum_hls(alpha, n, beta, omega):
+    """check_hls_condition with the lattice path switched off."""
+    with mock.patch.object(verify, "_lattice", return_value=None):
+        return check_hls_condition(alpha, n, beta, omega)
+
+
+@st.composite
+def lattices(draw, min_first=1):
+    """Points filling a lattice in [-1, 1]^d, d = 1..4, 1..9 points per
+    axis spaced by np.linspace or (i + 0.5)/L, in shuffled order."""
+    d = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(min_first, 9))]
+    sizes += [draw(st.integers(1, 9 if d < 4 else 5)) for _ in range(d - 1)]
+    axes = [np.linspace(-1.0, 1.0, L) if draw(st.booleans()) else (np.arange(L) + 0.5) / L
+            for L in sizes]
+    m = int(np.prod(sizes))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(m)
+    return sizes, axes, order
+
+
+class TestHlsLattice:
+    """On a uniform lattice the HLS potential is an FFT product; elsewhere
+    it is the block sum, which stays the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice=lattices(), zeros=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+           seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 0.95),
+           beta=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_lattice_path_agrees_with_the_block_sum(self, lattice, zeros, seed, frac, beta):
+        # weights in [0.01, 1], each zero with probability ``zeros``
+        sizes, axes, order = lattice
+        pts = _lattice_points(axes, order)
+        rng = np.random.default_rng(seed)
+        w = np.where(rng.random(len(pts)) < zeros, 0.0, rng.uniform(0.01, 1.0, len(pts)))
+        assert verify._lattice(pts)[0] == tuple(sizes)
+        n = len(sizes)
+        om = Measure.atomic(pts, w)
+        rep = check_hls_condition(frac * n / 2.0, n, beta, om)
+        ref = _block_sum_hls(frac * n / 2.0, n, beta, om)
+        assert abs(rep.lhs - ref.lhs) <= 1e-13 * ref.lhs
+        assert rep.rhs == ref.rhs and rep.passed == ref.passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice=lattices(), frac=st.floats(0.05, 0.95))
+    def test_a_positive_density_takes_the_lattice_path(self, lattice, frac):
+        # no distance power is computed: the block sum does not run
+        sizes, axes, order = lattice
+        pts = _lattice_points(axes, order)
+        w = np.random.default_rng(len(pts)).uniform(0.5, 1.0, len(pts))
+        with mock.patch.object(verify, "distance_powers", side_effect=AssertionError):
+            rep = check_hls_condition(frac * len(sizes) / 2.0, len(sizes), 1.0,
+                                      Measure.atomic(pts, w))
+        assert np.isfinite(rep.lhs)
+
+    def test_degenerate_axis(self):
+        axes = [np.linspace(-1.0, 1.0, 5), np.array([0.3]), (np.arange(4) + 0.5) / 4]
+        pts = _lattice_points(axes, np.arange(20))
+        assert verify._lattice(pts)[0] == (5, 1, 4)
+        om = Measure.atomic(pts, np.linspace(0.1, 1.0, 20))
+        rep, ref = check_hls_condition(1.0, 3, 1.0, om), _block_sum_hls(1.0, 3, 1.0, om)
+        assert abs(rep.lhs - ref.lhs) <= 1e-13 * ref.lhs
+
+    def test_mass_on_few_atoms_takes_the_block_sum(self):
+        # the FFT's rounding is about eps times the largest potential, far
+        # above the potential at an atom that sees almost no other mass
+        ax = (np.arange(12) + 0.5) / 12
+        pts = _lattice_points([ax, ax, ax], np.arange(12**3))
+        w = np.zeros(12**3)
+        w[3], w[100] = 1.0, 1e-12
+        om = Measure.atomic(pts, w)
+        assert check_hls_condition(1.0, 3, 1.0, om).lhs == _block_sum_hls(1.0, 3, 1.0, om).lhs
+
+    def test_grid_proxy_is_a_lattice(self):
+        om = Measure.lebesgue(200)
+        with mock.patch.object(verify, "distance_powers", side_effect=AssertionError):
+            rep = check_hls_condition(1.0, 3, 1.0, om)
+        assert abs(rep.lhs - _block_sum_hls(1.0, 3, 1.0, om).lhs) <= 1e-13 * rep.lhs
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice=lattices(min_first=4), move=st.booleans(), at=st.integers(0, 10**6))
+    def test_off_lattice_takes_the_block_sum(self, lattice, move, at):
+        # one atom moved by 1e-9, or the lattice point with index 1 on the
+        # first axis and 0 elsewhere left out (never a corner, so no axis
+        # loses a coordinate)
+        sizes, axes, order = lattice
+        pts = _lattice_points(axes, np.arange(int(np.prod(sizes))))
+        if move:
+            pts[at % len(pts), at % len(sizes)] += 1e-9
+        else:
+            pts = np.delete(pts, int(np.prod(sizes[1:])), axis=0)
+        pts = pts[np.random.default_rng(at).permutation(len(pts))]
+        assert verify._lattice(pts) is None
+        w = np.random.default_rng(at).uniform(0.5, 1.0, len(pts))
+        om = Measure.atomic(pts, w)
+        n = len(sizes)
+        rep, ref = check_hls_condition(0.4 * n, n, 1.0, om), _block_sum_hls(0.4 * n, n, 1.0, om)
+        assert rep.lhs == ref.lhs
+        # the block sum is the one-shot pairwise sum
+        diff = pts[:, None, :] - pts[None, :, :]
+        with np.errstate(divide="ignore"):
+            gram = np.sqrt(np.sum(diff * diff, axis=-1)) ** (0.8 * n - n)
+        np.fill_diagonal(gram, 0.0)
+        assert rep.lhs == np.sum(w * np.sum(gram * w, axis=-1))
 
 
 def test_reports_are_deterministic():
