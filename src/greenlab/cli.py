@@ -22,7 +22,7 @@ from . import verify as verify_mod
 from .energy import green_energy, ibp_check
 from .kernels import INTERVAL, Kernel, resolve_h
 from .measures import GRID, Field, Measure
-from .potentials import potential_values
+from .potentials import green_operator
 from .serialize import dumps, echo, write_csv, write_field_csv
 from .solver import (DEFAULT_TOL_ATOMIC, HISTORY_COLUMNS, Problem, a_priori_check,
                      minimality_probe, solve)
@@ -175,7 +175,7 @@ def _manifest_check(entry: dict, seed: int):
             measure("omega"))
     if kind == "hardy":
         omega = measure("omega")
-        u = Field(omega, potential_values(kernel, omega, omega.midpoints))
+        u = Field(omega, green_operator(kernel, omega.midpoints, omega)())
         phi_spec = entry.get("phi", "sin_pi")
         if phi_spec == "sin_pi":
             phi = Field(omega, np.sin(np.pi * omega.midpoints))

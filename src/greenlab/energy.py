@@ -18,7 +18,7 @@ import numpy as np
 from .extreal import TINY, ext_power
 from .kernels import INTERVAL, Kernel
 from .measures import GRID, Field, Measure, power_integral
-from .potentials import potential_values
+from .potentials import green_operator
 
 
 @dataclass
@@ -38,7 +38,7 @@ class EnergyReport:
 def cross_energy(kernel: Kernel, source: Measure, expo: float,
                  against: Measure) -> float:
     """Integral of (G source)^expo with respect to ``against``; may be +inf."""
-    pot = potential_values(kernel, source, against.support_sites)
+    pot = green_operator(kernel, against.support_sites, source)()
     return power_integral(pot, expo, against.integration_weights)
 
 
@@ -90,7 +90,7 @@ def ibp_check(kernel: Kernel, omega: Measure, gamma: float,
     """Compare E_gamma[omega] with gamma times the gradient energy of G omega."""
     if kernel.variant != INTERVAL or omega.variant != GRID:
         raise ValueError("ibp_check runs on the interval kernel with a grid measure")
-    u = Field(omega, potential_values(kernel, omega, omega.midpoints))
+    u = Field(omega, green_operator(kernel, omega.midpoints, omega)())
     e_green = power_integral(u.values, gamma, omega.integration_weights)
     e_grad, excluded = gradient_energy(u, gamma, floor_eps)
     report = EnergyReport(gamma=gamma, green_energy=e_green,

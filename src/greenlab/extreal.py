@@ -34,14 +34,15 @@ def ext_power(values, expo: float) -> np.ndarray:
 
 
 def masked_mul(a, b) -> np.ndarray:
-    """Elementwise product where ``0 * inf`` is 0 (integration convention)."""
+    """Elementwise product where ``0 * inf`` is 0 (integration convention);
+    a product without NaN has no ``0 * inf`` and is returned as it is."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         out = a * b
-    bad = np.isnan(out) & (np.isnan(a) == False) & (np.isnan(b) == False)  # noqa: E712
-    if bad.any():
-        out = np.where(bad, 0.0, out)
+    nan = np.isnan(out)
+    if nan.any():
+        out = np.where(nan & ~np.isnan(a) & ~np.isnan(b), 0.0, out)
     return out
 
 
@@ -68,18 +69,16 @@ def row_blocks(n_rows: int, n_cols: int) -> list:
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def finite_row_sums(gram, v) -> np.ndarray:
-    """``np.sum(gram * v, axis=-1)`` one block of rows at a time.
-
-    For finite operands only: with no 0 * inf term the mask of
-    ``weighted_sum`` cannot act, so this gives its bits.
-    """
-    with np.errstate(over="ignore"):
-        if gram.size <= _BLOCK_ENTRIES:
-            return np.sum(gram * v, axis=-1)
-        out = np.empty(gram.shape[0])
-        for rows in row_blocks(*gram.shape):
-            out[rows] = np.sum(gram[rows] * v, axis=-1)
+def gram_product(gram, v) -> np.ndarray:
+    """``weighted_sum(gram, v)`` one block of rows at a time, each summed
+    again with the mask only if one of its sums is NaN: a sum is NaN only
+    if a term is, and the mask rewrites only NaN terms, so every row has
+    ``weighted_sum``'s bits and no temporary is gram-sized."""
+    out = np.empty(gram.shape[0])
+    for rows in row_blocks(*gram.shape):
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums = np.sum(gram[rows] * v, axis=-1)
+        out[rows] = weighted_sum(gram[rows], v) if np.isnan(sums).any() else sums
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import finite_row_sums, row_blocks
+from .extreal import gram_product, row_blocks
 
 MATRIX = "matrix"
 RIESZ = "riesz"
@@ -263,7 +263,7 @@ def estimate_wmp_constant(kernel: Kernel, samples: int = 64, seed: int = 0) -> f
         w = np.where(mask, rng.random(n), 0.0)
         if not w.any():
             w[int(rng.integers(n))] = 1.0
-        pot = finite_row_sums(G, w)  # entries and probes are finite: no 0 * inf
+        pot = gram_product(G, w)  # finite entries and probes: no NaN, no mask
         on_supp = float(pot[w > 0.0].max())
         if on_supp > 0.0 and np.isfinite(on_supp):
             h = max(h, float(pot.max()) / on_supp)

@@ -6,8 +6,9 @@ rule; the interval kernel is bounded on (0,1)^2 so no diagonal correction
 is needed there, while a Riesz kernel on a grid gets its singular cell
 (target inside the source cell) integrated by 16-fold local subdivision.
 
-``green_operator`` picks one of four operator paths from its inputs, with
-no option or size threshold:
+``green_operator`` forms the weighted density v = w f (0 * inf = 0) and
+hands it to one of three operator paths, picked from its inputs with no
+option or size threshold:
 
 * interval prefix sums -- the interval kernel, any source and targets.
   G(x, y) = min(x,y)(1 - max(x,y)) is semiseparable, so
@@ -17,22 +18,18 @@ no option or size threshold:
 * Riesz-grid FFT -- a dim-1 Riesz kernel, a grid source and targets equal
   to the grid's midpoints (the solver workspace and every check on one
   grid).  The quadrature is then Toeplitz in the integer cell offset
-  |i - j|: one column, built from exact offsets, embedded in a circulant
-  and applied by ``np.fft.rfft``/``irfft`` in O(N log N), no gram.  The
+  |i - j|: one column (``lattice_column``), embedded in a circulant and
+  applied by ``np.fft.rfft``/``irfft`` in O(N log N), no gram.  The
   column is positive and finite, so a non-finite weighted density gives
   its sum (+inf or NaN) at every target, as the masked product would.
-* dense mask-free -- every other matrix or Riesz case whose gram and
-  weighted density are finite: the quadrature gram, built once, times
-  the density in blocks of rows (``finite_row_sums``), so no temporary is
-  gram-sized.
-* dense masked -- the same gram when either factor is not finite: the
-  0 * inf = 0 product of ``weighted_sum``.  The two dense paths give the
-  same bits: the mask only rewrites the NaNs of 0 * inf, and each row sums
-  as it would in one piece.
+* gram product -- every other matrix or Riesz case: the quadrature gram,
+  built once, times the density in blocks of rows (``gram_product``), so
+  no temporary is gram-sized, whether or not a factor holds +inf.
 
-The dense masked product (``weighted_sum`` against ``quadrature_gram``) is
-the reference every path is tested against; the prefix-sum and FFT paths
-agree with it to about 1e-12 relative, not bit for bit.  Everything here
+The masked product in one piece (``weighted_sum`` against
+``quadrature_gram``) is the reference every path is tested against: the
+gram product gives its bits, and the prefix-sum and FFT paths agree with
+it to about 1e-12 relative, not bit for bit.  Everything here
 is a pure function of its inputs and every sum has a fixed order (numpy's
 FFT starts no threads), so results repeat bit for bit for the same inputs
 and numpy build.
@@ -40,11 +37,12 @@ and numpy build.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
-from .extreal import ext_power, finite_row_sums, masked_mul, weighted_sum
+from .extreal import ext_power, gram_product, masked_mul
 from .kernels import INTERVAL, MATRIX, RIESZ, Kernel
 from .measures import GRID, Field, Measure, power_integral
 
@@ -98,7 +96,7 @@ def quadrature_gram(kernel: Kernel, target_sites, omega: Measure) -> np.ndarray:
 
 
 def _interval_operator(kernel: Kernel, target_sites, omega: Measure):
-    """The interval kernel's operator from two prefix sums, no gram.
+    """The interval kernel's v -> G v from two prefix sums, no gram.
 
     For a target t, sources s <= t contribute s (1 - t) v and sources
     s > t contribute t (1 - s) v.  The right-hand sum is a reversed
@@ -109,10 +107,9 @@ def _interval_operator(kernel: Kernel, target_sites, omega: Measure):
     order = np.argsort(s, kind="stable")
     s = s[order]
     k = np.searchsorted(s, t, side="right")  # sources at or left of each target
-    w = omega.integration_weights
 
-    def apply(f=None) -> np.ndarray:
-        v = (w if f is None else masked_mul(w, f))[order]
+    def apply(v: np.ndarray) -> np.ndarray:
+        v = v[order]
         with np.errstate(over="ignore"):  # past the float range a sum is +inf
             left = np.concatenate(([0.0], np.cumsum(s * v)))
             right = np.concatenate((np.cumsum(((1.0 - s) * v)[::-1])[::-1], [0.0]))
@@ -121,21 +118,14 @@ def _interval_operator(kernel: Kernel, target_sites, omega: Measure):
     return apply
 
 
-def _riesz_column(kernel: Kernel, omega: Measure) -> np.ndarray:
-    """The Riesz quadrature at omega's midpoints as a Toeplitz column.
-
-    ``col[k]`` is the kernel at cell offset k, (k * width)^(2 alpha - 1),
-    from the exact integer offset rather than a difference of rounded
-    midpoints; ``col[0]`` is the singular-cell rule, the mean over 16
-    sub-midpoints, shared by every cell.
-    """
-    expo = 2.0 * kernel.alpha - 1.0
-    width = omega.cell_width
-    sub = np.abs((np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5) * width
-    col = np.empty(omega.n_cells)
-    col[0] = np.mean(np.power(sub, expo))
-    col[1:] = np.power(np.arange(1, omega.n_cells) * width, expo)
-    return col
+def lattice_column(shape, spacings, expo: float) -> np.ndarray:
+    """The ``toeplitz_operator`` column |k h|^expo of a lattice with
+    ``shape`` points and ``spacings`` per axis, from exact integer offsets
+    k (on one axis sqrt(x * x) = |x|, so it is (k h)^expo); the caller
+    sets the entry at k = 0."""
+    offsets = np.ix_(*(np.arange(L) * h for L, h in zip(shape, spacings)))
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.power(np.sqrt(sum(x * x for x in offsets)), expo)
 
 
 def toeplitz_operator(col: np.ndarray, lengths):
@@ -157,7 +147,8 @@ def toeplitz_operator(col: np.ndarray, lengths):
     for L, M in zip(shape, lengths):
         j = np.arange(M)
         index.append(np.where(j < L, j, np.where(j > M - L, M - j, L)))
-    spec = np.fft.rfftn(padded[np.ix_(*index)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a column past the range: NaN out
+        spec = np.fft.rfftn(padded[np.ix_(*index)])
     corner = tuple(slice(0, L) for L in shape)
 
     def product(v: np.ndarray) -> np.ndarray:
@@ -175,18 +166,19 @@ def toeplitz_operator(col: np.ndarray, lengths):
 
 
 def _riesz_grid_operator(kernel: Kernel, omega: Measure):
-    """The Riesz-on-grid operator at the midpoints by circulant embedding.
+    """The Riesz-on-grid v -> G v at the midpoints by circulant embedding.
 
-    The column sits in a circulant of length m, the next power of two
-    >= 2N - 1 (``toeplitz_operator``).  No N x N array is built.
+    The column is ``lattice_column`` with ``col[0]``, the singular cell
+    shared by every cell, the mean over 16 sub-midpoints.  It sits in a
+    circulant of length m, the next power of two >= 2N - 1
+    (``toeplitz_operator``).  No N x N array is built.
     """
-    col = _riesz_column(kernel, omega)
-    n = len(col)
+    n, width, expo = omega.n_cells, omega.cell_width, 2.0 * kernel.alpha - 1.0
+    col = lattice_column((n,), (width,), expo)
+    col[0] = np.mean(np.power(np.abs((np.arange(_SUBDIV) + 0.5) / _SUBDIV - 0.5) * width, expo))
     toeplitz = toeplitz_operator(col, (1 << (2 * n - 2).bit_length(),))
-    w = omega.integration_weights
 
-    def apply(f=None) -> np.ndarray:
-        v = w if f is None else masked_mul(w, f)
+    def apply(v: np.ndarray) -> np.ndarray:
         if not np.isfinite(v).all():  # positive finite column: every row sums to sum(v)
             return np.full(n, np.sum(v))
         return toeplitz(v)
@@ -199,25 +191,24 @@ def green_operator(kernel: Kernel, target_sites, omega: Measure):
 
     The returned ``apply(f=None)`` takes one value of f per support site
     of omega (0 * inf = 0 in the integrand) and gives G omega when f is
-    omitted.  Interval kernels use prefix sums and a dim-1 Riesz kernel on
-    a grid, evaluated at its midpoints, an FFT; neither builds a gram.
-    Other kernels build omega's gram once and skip the 0 * inf mask
-    whenever both factors are finite (see the module docstring).
+    omitted.  It weights f by omega's integration weights here, once, and
+    applies one of three paths to that density (see the module
+    docstring): prefix sums for the interval kernel, an FFT for a dim-1
+    Riesz kernel on a grid at its midpoints, and otherwise omega's gram,
+    built once, in blocks of rows.
     """
     if kernel.variant == INTERVAL:
-        return _interval_operator(kernel, target_sites, omega)
-    if (kernel.variant == RIESZ and kernel.dim == 1 and omega.variant == GRID
+        product = _interval_operator(kernel, target_sites, omega)
+    elif (kernel.variant == RIESZ and kernel.dim == 1 and omega.variant == GRID
             and np.array_equal(target_sites, omega.midpoints)):
-        return _riesz_grid_operator(kernel, omega)
-    gram = quadrature_gram(kernel, target_sites, omega)
-    gram_finite = bool(np.isfinite(gram).all())
+        product = _riesz_grid_operator(kernel, omega)
+    else:
+        gram = quadrature_gram(kernel, target_sites, omega)
+        product = partial(gram_product, gram)
     w = omega.integration_weights
 
     def apply(f=None) -> np.ndarray:
-        v = w if f is None else masked_mul(w, f)
-        if gram_finite and np.isfinite(v).all():
-            return finite_row_sums(gram, v)
-        return weighted_sum(gram, v)
+        return product(w if f is None else masked_mul(w, f))
 
     return apply
 
@@ -246,10 +237,6 @@ def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float
     return float(best)
 
 
-def potential_values(kernel: Kernel, omega: Measure, target_sites) -> np.ndarray:
-    return green_operator(kernel, target_sites, omega)()
-
-
 def potential(kernel: Kernel, omega: Measure, targets: Targets = None) -> Field:
     """The potential of omega evaluated at the given targets.
 
@@ -258,8 +245,7 @@ def potential(kernel: Kernel, omega: Measure, targets: Targets = None) -> Field:
     [0, +inf]; +inf appears only through singular Riesz diagonals.
     """
     sites, ref = _target_sites(kernel, omega, targets)
-    vals = potential_values(kernel, omega, sites)
-    return Field(ref, vals)
+    return Field(ref, green_operator(kernel, sites, omega)())
 
 
 def iterated_potential(kernel: Kernel, omega: Measure, s: float,

@@ -21,10 +21,11 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        # int, bool and finite float entries are already plain JSON values
+        # int, bool and finite float entries are already plain JSON values;
+        # any other array, 0-d included, converts as its nested list or scalar
         if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
             return obj.tolist()
-        return [jsonable(v) for v in obj.tolist()]
+        return jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         if math.isnan(x):

@@ -25,7 +25,8 @@ from .energy import grid_derivative
 from .extreal import TINY, ext_power, weighted_sum
 from .kernels import Kernel, distance_powers, resolve_h, resolve_quasi_symmetry
 from .measures import GRID, Field, Measure, power_integral, total_mass
-from .potentials import domain_sites, green_operator, max_norm_ratio, toeplitz_operator
+from .potentials import (domain_sites, green_operator, lattice_column, max_norm_ratio,
+                         toeplitz_operator)
 from .serialize import digest
 
 REL_TOL_ATOMIC = 1e-12
@@ -390,22 +391,20 @@ def _lattice_potential(pts: np.ndarray, w: np.ndarray, expo: float):
     uniform lattice (``_lattice``), else None.
 
     It is a multilevel Toeplitz product by FFT (``toeplitz_operator``,
-    2 L points per axis): the kernel at integer offset k is |k h|^expo,
-    0 at k = 0.  Its rounding error is about eps times the largest
-    potential, so it is kept only when it is finite and every atom of
-    positive weight sees at least 1/128 of the largest potential.
+    2 L points per axis) of ``lattice_column``, 0 at k = 0.  Its rounding
+    error is about eps times the largest potential, so it is kept only
+    when it is finite and every atom of positive weight sees at least
+    1/128 of the largest potential.
     """
     lattice = _lattice(pts)
     if lattice is None:
         return None
     shape, spacings, index = lattice
-    offsets = np.ix_(*(np.arange(L) * h for L, h in zip(shape, spacings)))
     v = np.empty(len(w))
     v[index] = w
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        col = np.power(np.sqrt(sum(x * x for x in offsets)), expo)
-        col.flat[0] = 0.0  # self-interaction dropped
-        pot = toeplitz_operator(col, [2 * L for L in shape])(v.reshape(shape))
+    col = lattice_column(shape, spacings, expo)
+    col.flat[0] = 0.0  # self-interaction dropped
+    pot = toeplitz_operator(col, [2 * L for L in shape])(v.reshape(shape))
     pot = np.maximum(pot.reshape(-1)[index], 0.0)  # a zero potential may round below 0
     if np.isfinite(pot).all() and pot[w > 0].min(initial=np.inf) >= pot.max(initial=0.0) / 128:
         return pot

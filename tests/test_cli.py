@@ -694,6 +694,7 @@ _LEAVES = st.one_of(
     st.none(), st.text(), st.sampled_from(["\u00e9\u4e2d", "\x00\x1f\x7f", "\ud800"]),
     _FLOATS.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.booleans().map(np.bool_), _ARRAYS,
+    st.sampled_from([np.array(np.nan), np.array(np.inf), np.array(-np.inf)]),
 )
 
 

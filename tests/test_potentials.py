@@ -1,14 +1,17 @@
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from greenlab import Kernel, Measure, domain_sites, iterated_potential, potential
 from greenlab import extreal
 from greenlab.extreal import masked_mul, row_blocks, weighted_sum
-from greenlab.potentials import _riesz_column, green_operator, quadrature_gram
+from greenlab.potentials import green_operator, lattice_column, quadrature_gram
 from tests.helpers import interval_green_oracle, random_green_matrix, random_weights
 
 
@@ -236,8 +239,8 @@ def _operator_case(kind: str, rng):
 @given(st.sampled_from(["matrix", "riesz_grid", "riesz_atoms"]),
        st.integers(min_value=0, max_value=2**31))
 def test_green_operator_is_the_dense_masked_product(kind, seed):
-    # gram kernels, masked or mask-free: bit for bit the masked weighted
-    # sum against the quadrature gram, f = 0 and +inf included
+    # gram kernels: bit for bit the masked weighted sum against the
+    # quadrature gram, f = 0 and +inf included
     rng = np.random.default_rng(seed)
     kernel, omega, targets = _operator_case(kind, rng)
     w = omega.integration_weights
@@ -258,16 +261,71 @@ def test_green_operator_is_the_dense_masked_product(kind, seed):
 def test_row_blocks_change_no_bit(kind, seed, entries):
     # every case fits one default block, so the reference is the one-shot
     # computation; with 1..40 entries per block the gram and the product
-    # are built one or a few rows at a time
+    # are built one or a few rows at a time.  f = 0 at an atom under a
+    # Riesz target makes a 0 * inf term, so only some blocks are redone
+    # with the mask
     rng = np.random.default_rng(seed)
     kernel, omega, targets = _operator_case(kind, rng)
     f = rng.uniform(0.5, 3.0, omega.size)
+    f[rng.random(omega.size) < 0.3] = 0.0
+    f[rng.random(omega.size) < 0.2] = np.inf
     whole = quadrature_gram(kernel, targets, omega)
     with mock.patch.object(extreal, "_BLOCK_ENTRIES", entries):
         gram = quadrature_gram(kernel, targets, omega)
         got = green_operator(kernel, targets, omega)(f)
     assert gram.tobytes() == whole.tobytes()
     assert got.tobytes() == weighted_sum(whole, masked_mul(omega.integration_weights, f)).tobytes()
+
+
+@pytest.mark.parametrize("f", [None, "zeros and inf"])
+def test_riesz_atom_applies_hold_no_gram_sized_temporary(f):
+    # the +inf diagonal of Riesz atoms (and f = 0 under it, a 0 * inf
+    # term) must not take an apply through a masked product of the whole
+    # gram: that allocates more than the gram itself
+    rng = np.random.default_rng(7)
+    omega = Measure.atomic(rng.uniform(-1.0, 1.0, (2000, 3)), rng.uniform(0.5, 2.0, 2000))
+    apply = green_operator(Kernel.riesz(1.0, 3), omega.sites, omega)
+    if f is not None:
+        f = rng.uniform(0.5, 3.0, omega.size)
+        f[::7], f[3::11] = 0.0, np.inf
+    gram_bytes = omega.size ** 2 * 8
+    tracemalloc.start()
+    try:
+        got = apply(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isinf(got).any()
+    assert peak < gram_bytes / 4
+
+
+def _masked_mul_reference(x: float, y: float) -> float:
+    if math.isnan(x) or math.isnan(y):
+        return math.nan
+    if (x == 0.0 and math.isinf(y)) or (math.isinf(x) and y == 0.0):
+        return 0.0
+    return x * y
+
+
+_MUL_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=20).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, n, elements=_MUL_FLOATS),
+    hnp.arrays(np.float64, n, elements=_MUL_FLOATS))))
+@example((np.array([np.nan, 0.0, np.inf, 1e200, 2.0, np.inf, -0.0]),
+          np.array([0.0, np.inf, 0.0, 1e200, 3.0, np.nan, -np.inf])))
+@example((np.array([1.5, 1e200]), np.array([2.0, 1e200])))
+def test_masked_mul_is_the_elementwise_rule(pair):
+    # NaN operands stay NaN, 0 * inf and inf * 0 are 0, an overflowing
+    # product is +-inf; every other entry is the plain product
+    a, b = pair
+    got = masked_mul(a, b)
+    ref = np.array([_masked_mul_reference(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert got[~np.isnan(got)].tobytes() == ref[~np.isnan(ref)].tobytes()
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(0, 5), (1, 10**6), (7, 3), (1000, 1), (2**10, 2**9)])
@@ -326,8 +384,11 @@ def test_riesz_grid_fft_matches_the_dense_products(n, alpha, seed, bad):
         f[rng.integers(n)] = bad
     apply = green_operator(kernel, mids, omega)
     got, v = apply(f), masked_mul(w, f)
-    cells = np.arange(n)
-    toeplitz = _riesz_column(kernel, omega)[np.abs(cells[:, None] - cells[None, :])]
+    cells, expo = np.arange(n), 2.0 * alpha - 1.0
+    col = lattice_column((n,), (omega.cell_width,), expo)
+    assert col[1:].tobytes() == np.power(np.arange(1, n) * omega.cell_width, expo).tobytes()
+    col[0] = np.mean(np.power(np.abs((np.arange(16) + 0.5) / 16 - 0.5) * omega.cell_width, expo))
+    toeplitz = col[np.abs(cells[:, None] - cells[None, :])]
     ref = weighted_sum(quadrature_gram(kernel, mids, omega), v)
     assert got.shape == ref.shape == (n,)
     assert np.array_equal(np.isinf(got), np.isinf(ref))
