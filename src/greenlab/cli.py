@@ -15,6 +15,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -122,11 +123,29 @@ def _cmd_energy(args) -> int:
     return EXIT_OK
 
 
+def _entry_int(entry: dict, key: str, default: int, least: Optional[int] = None) -> int:
+    """``entry[key]`` as an int by ``n_cells``' rule: an integer or an
+    integral float, not a bool (``int`` refuses inf and NaN)."""
+    value = entry.get(key, default)
+    integral = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and int(value) == value)
+    if not integral or (least is not None and value < least):
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"{key!r} must be an integer{floor}, got {value!r}")
+    return int(value)
+
+
+def _probe_args(entry: dict, seed: int) -> dict:
+    """The random densities of a norm-constant probe: ``samples`` >= 0
+    (0 probes the structured densities only) and an integer ``seed``."""
+    return {"samples": _entry_int(entry, "samples", 200, least=0),
+            "seed": _entry_int(entry, "seed", seed)}
+
+
 def _manifest_check(entry: dict, seed: int):
     kind = entry.get("check")
     if kind is None:
         raise InputError("manifest entry without a 'check' field")
-    entry_seed = int(entry.get("seed", seed))
     kernel = Kernel.from_dict(entry["kernel"]) if "kernel" in entry else None
 
     def measure(key):
@@ -154,17 +173,16 @@ def _manifest_check(entry: dict, seed: int):
             u = solve(problem, tol=DEFAULT_TOL_ATOMIC).u_on_sigma()
         return verify_mod.check_lower_bound(kernel, omega, q, u, h)
     if kind == "norm_constant":
+        probe = _probe_args(entry, seed)
         c = verify_mod.estimate_norm_constant(
-            kernel, measure("omega"), float(entry["p"]), float(entry["r"]),
-            samples=int(entry.get("samples", 200)), seed=entry_seed)
+            kernel, measure("omega"), float(entry["p"]), float(entry["r"]), **probe)
         return verify_mod.VerifyReport(
             "norm_constant", verify_mod._digest_inputs(entry=entry),
-            c, c, c, True, 0.0, {"status": "estimated", "seed": entry_seed})
+            c, c, c, True, 0.0, {"status": "estimated", "seed": probe["seed"]})
     if kind == "equivalence":
         return verify_mod.check_norm_equivalence(
             kernel, measure("omega"), float(entry["p"]), float(entry["r"]),
-            samples=int(entry.get("samples", 200)), seed=entry_seed,
-            h=float(entry["h"]) if "h" in entry else None)
+            **_probe_args(entry, seed), h=float(entry["h"]) if "h" in entry else None)
     if kind == "relation_chain":
         return verify_mod.check_relation_chain(
             kernel, measure("sigma"), measure("mu"), float(entry["q"]),

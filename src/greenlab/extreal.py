@@ -51,10 +51,13 @@ def weighted_sum(gram, weights) -> np.ndarray:
 
     ``gram`` may contain +inf (singular kernel values) and ``weights`` may
     contain +inf (reweighted measures); a zero on either side kills the term.
+    The terms are summed in C order: numpy sums a C-ordered row pairwise,
+    as it sums a 1-d array, but a column-major stack term by term, so a
+    row of a stack gets the bits of its 1-d sum only in C order.
     """
     contrib = masked_mul(gram, weights)
     with np.errstate(over="ignore"):
-        return np.sum(contrib, axis=-1)
+        return np.sum(np.ascontiguousarray(contrib), axis=-1)
 
 
 def row_blocks(n_rows: int, n_cols: int) -> list:
@@ -66,19 +69,24 @@ def row_blocks(n_rows: int, n_cols: int) -> list:
     computed as it would be in one piece, so blocking changes no bit.
     """
     step = max(1, _BLOCK_ENTRIES // max(n_cols, 1))
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def gram_product(gram, v) -> np.ndarray:
     """``weighted_sum(gram, v)`` one block of rows at a time, each summed
     again with the mask only if one of its sums is NaN: a sum is NaN only
     if a term is, and the mask rewrites only NaN terms, so every row has
-    ``weighted_sum``'s bits and no temporary is gram-sized."""
-    out = np.empty(gram.shape[0])
-    for rows in row_blocks(*gram.shape):
+    ``weighted_sum``'s bits and no temporary is gram-sized.
+
+    ``v`` may be a stack of vectors on leading axes; the products come out
+    stacked the same way, and a block's temporary ``(..., rows, n)`` holds
+    about 2**18 entries over the whole stack."""
+    v = np.ascontiguousarray(v, dtype=float)[..., None, :]
+    out = np.empty(v.shape[:-2] + gram.shape[:1])
+    for rows in row_blocks(gram.shape[0], v.size):
         with np.errstate(invalid="ignore", over="ignore"):
             sums = np.sum(gram[rows] * v, axis=-1)
-        out[rows] = weighted_sum(gram[rows], v) if np.isnan(sums).any() else sums
+        out[..., rows] = weighted_sum(gram[rows], v) if np.isnan(sums).any() else sums
     return out
 
 

@@ -167,9 +167,13 @@ def same_sampling(f: Field, m: Measure) -> bool:
     return a.n_cells == b.n_cells and bool(np.array_equal(a.values, b.values))
 
 
-def power_integral(values, expo: float, weights) -> float:
-    """Integral of values^expo against per-site weights; may be +inf."""
-    return float(weighted_sum(ext_power(values, expo), weights))
+def power_integral(values, expo: float, weights):
+    """Integral of values^expo against per-site weights; may be +inf.
+
+    A stack of values (sites on the last axis) gives an array of one
+    integral per row, each with the bits of its own 1-d call."""
+    out = weighted_sum(ext_power(values, expo), weights)
+    return out if out.ndim else float(out)
 
 
 def lp_norm(f: Field, p: float, m: Measure) -> float:

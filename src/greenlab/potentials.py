@@ -8,7 +8,9 @@ is needed there, while a Riesz kernel on a grid gets its singular cell
 
 ``green_operator`` forms the weighted density v = w f (0 * inf = 0) and
 hands it to one of three operator paths, picked from its inputs with no
-option or size threshold:
+option or size threshold.  Each path also takes a stack of densities
+(sites on the last axis) and gives every row the bits of its own 1-d
+apply:
 
 * interval prefix sums -- the interval kernel, any source and targets.
   G(x, y) = min(x,y)(1 - max(x,y)) is semiseparable, so
@@ -42,7 +44,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .extreal import ext_power, gram_product, masked_mul
+from .extreal import ext_power, gram_product, masked_mul, row_blocks
 from .kernels import INTERVAL, MATRIX, RIESZ, Kernel
 from .measures import GRID, Field, Measure, power_integral
 
@@ -109,11 +111,13 @@ def _interval_operator(kernel: Kernel, target_sites, omega: Measure):
     k = np.searchsorted(s, t, side="right")  # sources at or left of each target
 
     def apply(v: np.ndarray) -> np.ndarray:
-        v = v[order]
+        v = np.take(v, order, axis=-1)
+        zero = np.zeros(v.shape[:-1] + (1,))
         with np.errstate(over="ignore"):  # past the float range a sum is +inf
-            left = np.concatenate(([0.0], np.cumsum(s * v)))
-            right = np.concatenate((np.cumsum(((1.0 - s) * v)[::-1])[::-1], [0.0]))
-            return (1.0 - t) * left[k] + t * right[k]
+            left = np.concatenate((zero, np.cumsum(s * v, axis=-1)), axis=-1)
+            right = np.concatenate(
+                (np.cumsum(((1.0 - s) * v)[..., ::-1], axis=-1)[..., ::-1], zero), axis=-1)
+            return (1.0 - t) * np.take(left, k, axis=-1) + t * np.take(right, k, axis=-1)
 
     return apply
 
@@ -131,17 +135,19 @@ def lattice_column(shape, spacings, expo: float) -> np.ndarray:
 def toeplitz_operator(col: np.ndarray, lengths):
     """v -> T v for the symmetric multilevel Toeplitz matrix T whose
     entry between lattice points i and j is ``col[|i - j|]``, with ``col``
-    and v shaped like the lattice.
+    shaped like the lattice and v shaped like it on its trailing axes:
+    leading axes of v hold a stack of vectors, one product each.
 
     ``col`` sits in a circulant with ``lengths[c] >= 2 L_c - 1`` entries
     on axis c (offset -k wraps to ``lengths[c] - k``), whose spectrum is
     taken once by ``np.fft.rfftn``; an apply is one forward and one
     inverse real FFT over those lengths.  Over one axis these are
     ``rfft``/``irfft``.  v must be finite; a product past the float range
-    is taken again on v / 2^e, with 2^e >= max|v|, and scaled back, so a
-    value past the range is +inf, not NaN, and numpy does not warn.
+    is taken again on v / 2^e, with 2^e >= max|v| of that one vector, and
+    scaled back, so a value past the range is +inf, not NaN, and numpy
+    does not warn.
     """
-    shape, axes = col.shape, tuple(range(col.ndim))
+    shape, axes = col.shape, tuple(range(-col.ndim, 0))
     padded = np.pad(col, [(0, 1)] * col.ndim)  # index L_c reads a zero
     index = []
     for L, M in zip(shape, lengths):
@@ -149,18 +155,20 @@ def toeplitz_operator(col: np.ndarray, lengths):
         index.append(np.where(j < L, j, np.where(j > M - L, M - j, L)))
     with np.errstate(over="ignore", invalid="ignore"):  # a column past the range: NaN out
         spec = np.fft.rfftn(padded[np.ix_(*index)])
-    corner = tuple(slice(0, L) for L in shape)
+    corner = (Ellipsis,) + tuple(slice(0, L) for L in shape)
 
     def product(v: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(spec * np.fft.rfftn(v, lengths, axes), lengths, axes)[corner]
 
     def apply(v: np.ndarray) -> np.ndarray:
+        stack = v.reshape((-1,) + shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = product(v)
-            if not np.isfinite(out).all():
-                e = np.frexp(np.max(np.abs(v)))[1]
-                out = np.ldexp(product(np.ldexp(v, -e)), e)
-        return out
+            out = product(stack)
+            bad = ~np.isfinite(out).all(axis=axes)
+            if bad.any():
+                e = np.frexp(np.max(np.abs(stack[bad]), axis=axes, keepdims=True))[1]
+                out[bad] = np.ldexp(product(np.ldexp(stack[bad], -e)), e)
+        return out.reshape(v.shape)
 
     return apply
 
@@ -179,9 +187,14 @@ def _riesz_grid_operator(kernel: Kernel, omega: Measure):
     toeplitz = toeplitz_operator(col, (1 << (2 * n - 2).bit_length(),))
 
     def apply(v: np.ndarray) -> np.ndarray:
-        if not np.isfinite(v).all():  # positive finite column: every row sums to sum(v)
-            return np.full(n, np.sum(v))
-        return toeplitz(v)
+        stack = v.reshape(-1, n)
+        finite = np.isfinite(stack).all(axis=-1)
+        if finite.all():
+            return toeplitz(v)
+        out = np.empty(stack.shape)  # positive finite column: every entry is sum(v)
+        out[~finite] = np.sum(stack[~finite], axis=-1, keepdims=True)
+        out[finite] = toeplitz(stack[finite])
+        return out.reshape(v.shape)
 
     return apply
 
@@ -195,7 +208,9 @@ def green_operator(kernel: Kernel, target_sites, omega: Measure):
     applies one of three paths to that density (see the module
     docstring): prefix sums for the interval kernel, an FFT for a dim-1
     Riesz kernel on a grid at its midpoints, and otherwise omega's gram,
-    built once, in blocks of rows.
+    built once, in blocks of rows.  f may be a stack of densities, sites
+    on the last axis; the values come out stacked the same way, each row
+    with the bits of its own 1-d apply.
     """
     if kernel.variant == INTERVAL:
         product = _interval_operator(kernel, target_sites, omega)
@@ -217,23 +232,36 @@ def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float
                    samples: int, seed: int) -> float:
     """Largest ||G(f d omega)||_r / ||f||_p over the densities f = (G omega)^t
     on a small exponent grid plus ``samples`` uniform(0,1] random ones, given
-    omega's operator on its own sites, its weights and G omega there."""
+    omega's operator on its own sites, its weights and G omega there.
 
-    def ratio(f: np.ndarray) -> float:
-        den = float(ext_power(power_integral(f, p, w), 1.0 / p))
-        if den == 0.0 or np.isnan(den):
-            return 0.0
-        num = float(ext_power(power_integral(apply(f), r, w), 1.0 / r))
-        if np.isinf(num) and np.isinf(den):
-            return 0.0
-        return num / den
+    ``apply`` takes a stack of densities, one per row.  They go through it
+    in blocks of ``row_blocks(count, 16 N)`` rows: an apply holds several
+    arrays of a block's size, and at about 2**14 entries (128 KB) each
+    stays in cache and under malloc's default mmap threshold, where
+    2**16-entry blocks spent their gain on page faults.  A block of random
+    densities is drawn as one (k, N) array, the same stream as k draws of
+    N.  Every row keeps the bits of its own 1-d apply and integrals, so the
+    blocks change no bit of the result.
+    """
+    n = len(w)
 
-    best = 0.0
-    for t in (0.0, 0.5, 1.0, 2.0, r / (p - r)):
-        best = max(best, ratio(ext_power(g_omega, t)))
+    def block_max(f: np.ndarray) -> float:
+        """The largest ratio over the rows of f, or 0.  A row whose
+        ||f||_p is 0 or NaN, whose norms are both +inf, or whose ratio is
+        NaN does not count; a ratio past the float range is +inf."""
+        den = ext_power(power_integral(f, p, w), 1.0 / p)
+        num = ext_power(power_integral(apply(f), r, w), 1.0 / r)
+        keep = (den != 0.0) & ~np.isnan(den) & ~(np.isinf(num) & np.isinf(den))
+        with np.errstate(over="ignore"):
+            ratio = num[keep] / den[keep]
+        return float(np.max(ratio, initial=0.0, where=~np.isnan(ratio)))
+
+    exponents = (0.0, 0.5, 1.0, 2.0, r / (p - r))
+    best = max(block_max(np.stack([ext_power(g_omega, t) for t in exponents[rows]]))
+               for rows in row_blocks(len(exponents), 16 * n))
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        best = max(best, ratio(1.0 - rng.random(len(w))))
+    for rows in row_blocks(samples, 16 * n):
+        best = max(best, block_max(1.0 - rng.random((rows.stop - rows.start, n))))
     return float(best)
 
 

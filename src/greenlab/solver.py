@@ -301,8 +301,8 @@ def a_priori_check(problem: Problem, report: SolveReport,
     p, ws = problem, report.workspace
     r_exp = p.gamma + p.q
     if c_est is None:
-        c_est = max_norm_ratio(lambda f: ws.op_sigma(f)[ws.sigma_pos], ws.w_sigma,
-                               ws.gsigma[ws.sigma_pos], p=r_exp / p.q, r=r_exp,
+        c_est = max_norm_ratio(lambda f: np.take(ws.op_sigma(f), ws.sigma_pos, axis=-1),
+                               ws.w_sigma, ws.gsigma[ws.sigma_pos], p=r_exp / p.q, r=r_exp,
                                samples=A_PRIORI_SAMPLES, seed=0)
     c = max(1.0, 2.0 ** ((1.0 - r_exp) / r_exp))
     norm_u = lp_norm(report.u_on_sigma(), r_exp, p.sigma)

@@ -166,3 +166,30 @@ def count_gram_builds(monkeypatch) -> list:
 def count_fft_setups(monkeypatch) -> list:
     """Count the Riesz-grid FFT operators greenlab.potentials sets up."""
     return count_calls(monkeypatch, "_riesz_grid_operator")
+
+
+def norm_ratio_reference(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float,
+                         samples: int, seed: int) -> float:
+    """The norm-constant probe one density at a time: every density goes
+    through its own 1-d apply and power integrals, the random ones drawn
+    by ``rng.random(N)`` one after the other.  The blocked
+    ``potentials.max_norm_ratio`` must equal it bit for bit."""
+    from greenlab.extreal import ext_power
+    from greenlab.measures import power_integral
+
+    def ratio(f: np.ndarray) -> float:
+        den = float(ext_power(power_integral(f, p, w), 1.0 / p))
+        if den == 0.0 or np.isnan(den):
+            return 0.0
+        num = float(ext_power(power_integral(apply(f), r, w), 1.0 / r))
+        if np.isinf(num) and np.isinf(den):
+            return 0.0
+        return num / den
+
+    best = 0.0
+    for t in (0.0, 0.5, 1.0, 2.0, r / (p - r)):
+        best = max(best, ratio(ext_power(g_omega, t)))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        best = max(best, ratio(1.0 - rng.random(len(w))))
+    return float(best)

@@ -562,17 +562,54 @@ class TestExponents:
      "bad manifest entry 'equivalence': cannot convert float infinity"),
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["hls"], "n": math.inf}]},
      "bad manifest entry 'hls': cannot convert float infinity"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "samples": -3}]},
+     "bad manifest entry 'equivalence': 'samples' must be an integer >= 0, got -3"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "samples": -3}]},
+     "bad manifest entry 'norm_constant': 'samples' must be an integer >= 0, got -3"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "samples": 1.5}]},
+     "bad manifest entry 'equivalence': 'samples' must be an integer >= 0, got 1.5"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "samples": True}]},
+     "bad manifest entry 'norm_constant': 'samples' must be an integer >= 0, got True"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "samples": "4"}]},
+     "bad manifest entry 'equivalence': 'samples' must be an integer >= 0, got '4'"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "seed": 1.5}]},
+     "bad manifest entry 'norm_constant': 'seed' must be an integer, got 1.5"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "seed": 1.5}]},
+     "bad manifest entry 'equivalence': 'seed' must be an integer, got 1.5"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "seed": False}]},
+     "bad manifest entry 'equivalence': 'seed' must be an integer, got False"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "seed": math.nan}]},
+     "bad manifest entry 'norm_constant': cannot convert float NaN"),
 ], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
         "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
         "solve-null-site", "solve-object-site", "solve-fractional-n-cells",
         "solve-string-n-cells", "solve-nan-site", "solve-infinite-site", "solve-infinite-dim",
-        "verify-infinite-seed", "verify-infinite-samples", "verify-infinite-n"])
+        "verify-infinite-seed", "verify-infinite-samples", "verify-infinite-n",
+        "verify-negative-samples", "verify-negative-samples-norm-constant",
+        "verify-fractional-samples", "verify-bool-samples", "verify-string-samples",
+        "verify-fractional-seed", "verify-fractional-seed-equivalence", "verify-bool-seed",
+        "verify-nan-seed"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["norm_constant", "equivalence"])
+def test_probe_counts_take_integral_floats(tmp_path, kind):
+    # n_cells' rule: 4.0 samples and seed 1.0 are 4 and 1; 0 samples
+    # probe the structured densities only
+    reports = []
+    for extra in ({"samples": 4, "seed": 1}, {"samples": 4.0, "seed": 1.0},
+                  {"samples": 0, "seed": 1}):
+        manifest = {"checks": [{**FUZZ_MANIFEST_ENTRIES[kind], **extra}]}
+        out = str(tmp_path / "r.json")
+        assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
+        reports.append(load_report(out)["reports"][0])
+    assert reports[0]["lhs"] == reports[1]["lhs"] and reports[0]["details"] == reports[1]["details"]
+    assert 0.0 < reports[2]["lhs"] <= reports[0]["lhs"]
 
 
 def run_module(*argv):

@@ -11,7 +11,9 @@ from hypothesis.extra import numpy as hnp
 from greenlab import Kernel, Measure, domain_sites, iterated_potential, potential
 from greenlab import extreal
 from greenlab.extreal import masked_mul, row_blocks, weighted_sum
-from greenlab.potentials import green_operator, lattice_column, quadrature_gram
+from greenlab.measures import power_integral
+from greenlab.potentials import (green_operator, lattice_column, quadrature_gram,
+                                 toeplitz_operator)
 from tests.helpers import interval_green_oracle, random_green_matrix, random_weights
 
 
@@ -297,6 +299,78 @@ def test_riesz_atom_applies_hold_no_gram_sized_temporary(f):
         tracemalloc.stop()
     assert np.isinf(got).any()
     assert peak < gram_bytes / 4
+
+
+def _stack_case(kind: str, rng):
+    """(kernel, omega, targets) for each operator path: interval prefix
+    sums, the Riesz-grid FFT (targets at the midpoints), a matrix gram and
+    Riesz atoms, whose gram has a +inf diagonal."""
+    n = int(rng.integers(1, 40))
+    if kind == "interval":
+        omega = Measure.atomic(rng.uniform(0.001, 0.999, n), random_weights(rng, n))
+        return Kernel.interval1d(), omega, rng.uniform(0.001, 0.999, int(rng.integers(1, 30)))
+    if kind == "riesz_grid":
+        omega = Measure.grid(n, random_weights(rng, n, hi=2.0))
+        return Kernel.riesz(float(rng.uniform(0.01, 0.49)), 1), omega, omega.midpoints
+    if kind == "matrix":
+        kernel = Kernel.matrix(random_green_matrix(rng, n))
+        omega = Measure.atomic(rng.choice(n, size=n, replace=False), random_weights(rng, n))
+        return kernel, omega, np.arange(n)
+    omega = Measure.atomic(rng.uniform(-1.0, 1.0, (n, 3)), random_weights(rng, n))
+    return Kernel.riesz(1.0, 3), omega, omega.sites
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["interval", "riesz_grid", "matrix", "riesz_atoms"]),
+       st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=6))
+def test_stacked_apply_is_the_per_density_apply(kind, seed, rows):
+    # a stack of densities, sites on the last axis, gives each row the
+    # bits of its own 1-d apply; rows hold zeros and +inf, and a C- or
+    # F-ordered stack of any leading shape is taken
+    rng = np.random.default_rng(seed)
+    kernel, omega, targets = _stack_case(kind, rng)
+    n = omega.size
+    F = rng.uniform(0.0, 3.0, (rows, n))
+    F[rng.random((rows, n)) < 0.3] = 0.0
+    F[rng.random((rows, n)) < 0.1] = np.inf
+    apply = green_operator(kernel, targets, omega)
+    one_by_one = np.stack([apply(f) for f in F])
+    for stack in (F, np.asfortranarray(F), F.reshape(rows, 1, n)):
+        got = apply(stack)
+        assert got.shape == stack.shape[:-1] + (len(targets),)
+        assert got.reshape(one_by_one.shape).tobytes() == one_by_one.tobytes()
+    w = omega.integration_weights
+    for stack in (F, np.asfortranarray(F)):
+        assert power_integral(stack, 1.5, w).tobytes() == \
+            np.array([power_integral(f, 1.5, w) for f in F]).tobytes()
+
+
+def test_stacked_fft_apply_falls_back_row_by_row():
+    # finite rows, a row whose FFT product overflows (redone on v / 2^e
+    # with its own e) and a row with +inf (every entry its sum): each row
+    # as its own 1-d apply
+    rng = np.random.default_rng(11)
+    kernel, omega = Kernel.riesz(0.25, 1), Measure.grid(24, rng.uniform(0.5, 2.0, 24))
+    apply = green_operator(kernel, omega.midpoints, omega)
+    F = rng.uniform(0.0, 3.0, (5, 24))
+    F[1] = 1e308
+    F[3, 5] = np.inf
+    F[4] = 1e300
+    with mock.patch("numpy.ldexp", wraps=np.ldexp) as ldexp:
+        got = apply(F)
+    assert ldexp.called
+    assert np.isinf(got[3]).all() and np.isfinite(got[[0, 2, 4]]).all()
+    assert got.tobytes() == np.stack([apply(f) for f in F]).tobytes()
+    # the multilevel Toeplitz product of a 2-d lattice, stacked
+    col = lattice_column((3, 4), (0.5, 0.25), -0.5)
+    col[0, 0] = 0.0
+    toeplitz = toeplitz_operator(col, (6, 8))
+    V = rng.uniform(0.0, 2.0, (3, 3, 4))
+    V[1] = rng.uniform(1e307, 1.5e307, (3, 4))
+    with mock.patch("numpy.ldexp", wraps=np.ldexp) as ldexp:
+        got = toeplitz(V)
+    assert ldexp.called
+    assert got.tobytes() == np.stack([toeplitz(v) for v in V]).tobytes()
 
 
 def _masked_mul_reference(x: float, y: float) -> float:

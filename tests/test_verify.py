@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,10 +27,12 @@ from greenlab import (
     solve,
 )
 from greenlab import extreal, verify
+from greenlab.potentials import green_operator, max_norm_ratio
 from tests.helpers import (
     brute_force_norm_constant,
     count_fft_setups,
     count_gram_builds,
+    norm_ratio_reference,
     random_green_matrix,
     random_weights,
 )
@@ -175,6 +178,66 @@ class TestNormConstant:
         vals = [estimate_norm_constant(k, om, 2.5, 1.25, samples=s, seed=9)
                 for s in (1, 8, 64)]
         assert vals[0] <= vals[1] <= vals[2]
+
+
+def _probe_case(kind: str):
+    """(kernel, omega) on three sites: an interval grid, a Riesz grid (FFT
+    path) and a nonsymmetric matrix, where random densities, not the
+    structured ones, set the maximum."""
+    values = np.array([0.5, 1.0, 2.0])
+    if kind == "interval":
+        return Kernel.interval1d(), Measure.grid(3, values)
+    if kind == "riesz_grid":
+        return Kernel.riesz(0.25, 1), Measure.grid(3, values)
+    G = np.array([[1.0, 30.0, 0.1], [0.02, 1.0, 5.0], [0.3, 0.05, 1.0]])
+    return Kernel.matrix(G), Measure.atomic(np.arange(3), np.ones(3))
+
+
+@pytest.mark.parametrize("kind", ["interval", "riesz_grid", "matrix"])
+def test_stacked_probe_is_the_one_at_a_time_loop(kind):
+    # the blocked probe against the one-density-per-apply loop at sample
+    # counts around the block length B (blocks of 2^10 entries keep B
+    # small): the same densities in the same order, the same maximum bit
+    # for bit, and an estimate that never falls as samples grow
+    kernel, omega = _probe_case(kind)
+    op = green_operator(kernel, omega.support_sites, omega)
+    w, g_omega, p, r = omega.integration_weights, op(), 3.0, 1.5
+
+    def recording(seen):
+        return lambda f: seen.append(f.copy()) or op(f)
+
+    with mock.patch.object(extreal, "_BLOCK_ENTRIES", 2**10):
+        blocks = []
+        max_norm_ratio(recording(blocks), w, g_omega, p, r, 100, seed=0)
+        B = max(len(b) for b in blocks)
+        assert 1 < B < 100 and sum(len(b) for b in blocks) == 5 + 100
+        values = []
+        for samples in (0, 1, B - 1, B, B + 1, 3 * B + 1):
+            blocks, rows = [], []
+            got = max_norm_ratio(recording(blocks), w, g_omega, p, r, samples, seed=5)
+            assert type(got) is float
+            assert got == norm_ratio_reference(recording(rows), w, g_omega, p, r, samples, seed=5)
+            assert np.concatenate(blocks).tobytes() == np.stack(rows).tobytes()
+            assert got == estimate_norm_constant(kernel, omega, p, r, samples=samples, seed=5)
+            values.append(got)
+    assert values == sorted(values)
+    if kind == "matrix":
+        assert values[-1] > values[0]
+
+
+@pytest.mark.parametrize("kernel", [Kernel.interval1d(), Kernel.riesz(0.25, 1)],
+                         ids=["interval", "riesz_grid"])
+def test_norm_constant_probe_memory_is_one_block(kernel):
+    # 200 random densities on 2^14 cells: as one (200, N) stack they
+    # alone would take 25 MiB; in blocks the probe stays under 8 MiB
+    omega = Measure.lebesgue(2**14)
+    tracemalloc.start()
+    try:
+        estimate_norm_constant(kernel, omega, 3.0, 1.5, samples=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class TestEquivalence:
