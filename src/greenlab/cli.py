@@ -15,12 +15,12 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import verify as verify_mod
 from .energy import green_energy, ibp_check
+from .extreal import integer, real
 from .kernels import INTERVAL, Kernel, resolve_h
 from .measures import GRID, Field, Measure
 from .potentials import green_operator
@@ -106,7 +106,7 @@ def _cmd_energy(args) -> int:
     try:
         kernel = Kernel.from_dict(data["kernel"])
         omega = Measure.from_dict(data["omega"])
-        gamma = float(data["gamma"])
+        gamma = real(data["gamma"], "gamma")
     except (KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"energy file has a missing or malformed field: {exc}") from exc
     if kernel.variant == INTERVAL and omega.variant == GRID:
@@ -123,23 +123,11 @@ def _cmd_energy(args) -> int:
     return EXIT_OK
 
 
-def _entry_int(entry: dict, key: str, default: int, least: Optional[int] = None) -> int:
-    """``entry[key]`` as an int by ``n_cells``' rule: an integer or an
-    integral float, not a bool (``int`` refuses inf and NaN)."""
-    value = entry.get(key, default)
-    integral = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and int(value) == value)
-    if not integral or (least is not None and value < least):
-        floor = "" if least is None else f" >= {least}"
-        raise ValueError(f"{key!r} must be an integer{floor}, got {value!r}")
-    return int(value)
-
-
 def _probe_args(entry: dict, seed: int) -> dict:
     """The random densities of a norm-constant probe: ``samples`` >= 0
     (0 probes the structured densities only) and an integer ``seed``."""
-    return {"samples": _entry_int(entry, "samples", 200, least=0),
-            "seed": _entry_int(entry, "seed", seed)}
+    return {"samples": integer(entry.get("samples", 200), "'samples'", least=0),
+            "seed": integer(entry.get("seed", seed), "'seed'")}
 
 
 def _manifest_check(entry: dict, seed: int):
@@ -153,21 +141,23 @@ def _manifest_check(entry: dict, seed: int):
             raise InputError(f"check {kind!r} needs a {key!r} measure")
         return Measure.from_dict(entry[key])
 
+    def number(key):
+        return real(entry[key], repr(key))
+
     def need_h():
-        return float(entry["h"]) if "h" in entry else resolve_h(kernel)
+        return real(entry["h"], "'h'", least=1) if "h" in entry else resolve_h(kernel)
 
     if kind == "iterated":
-        return verify_mod.check_iterated(kernel, measure("omega"),
-                                         float(entry["s"]), need_h())
+        return verify_mod.check_iterated(kernel, measure("omega"), number("s"), need_h())
     if kind == "lower_bound":
         omega = measure("omega")
-        q = float(entry["q"])
+        q = number("q")
         h = need_h()  # once: on a matrix kernel it is the 64-probe WMP scan
         if "u" in entry:
             u = Field(omega, entry["u"])
         else:
             problem = Problem(kernel=kernel, sigma=omega, q=q,
-                              gamma=float(entry.get("gamma", 1.0)), h=h)
+                              gamma=entry.get("gamma", 1.0), h=h)
             # solved below the hypothesis slack of 1e-9: the monotone iterate
             # is a sub-solution, short of u >= G(u^q d omega) by about tol
             u = solve(problem, tol=DEFAULT_TOL_ATOMIC).u_on_sigma()
@@ -175,22 +165,20 @@ def _manifest_check(entry: dict, seed: int):
     if kind == "norm_constant":
         probe = _probe_args(entry, seed)
         c = verify_mod.estimate_norm_constant(
-            kernel, measure("omega"), float(entry["p"]), float(entry["r"]), **probe)
+            kernel, measure("omega"), number("p"), number("r"), **probe)
         return verify_mod.VerifyReport(
             "norm_constant", verify_mod._digest_inputs(entry=entry),
             c, c, c, True, 0.0, {"status": "estimated", "seed": probe["seed"]})
     if kind == "equivalence":
         return verify_mod.check_norm_equivalence(
-            kernel, measure("omega"), float(entry["p"]), float(entry["r"]),
-            **_probe_args(entry, seed), h=float(entry["h"]) if "h" in entry else None)
+            kernel, measure("omega"), number("p"), number("r"),
+            **_probe_args(entry, seed), h=need_h())
     if kind == "relation_chain":
         return verify_mod.check_relation_chain(
-            kernel, measure("sigma"), measure("mu"), float(entry["q"]),
-            float(entry["gamma"]), need_h())
+            kernel, measure("sigma"), measure("mu"), number("q"), number("gamma"), need_h())
     if kind == "hls":
         return verify_mod.check_hls_condition(
-            float(entry["alpha"]), int(entry["n"]), float(entry["beta"]),
-            measure("omega"))
+            number("alpha"), entry["n"], number("beta"), measure("omega"))
     if kind == "hardy":
         omega = measure("omega")
         u = Field(omega, green_operator(kernel, omega.midpoints, omega)())
@@ -293,11 +281,11 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "exponents": _cmd_exponents,
 }
+_PARSER = build_parser()  # one per process: parse_args keeps no state between calls
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (InputError, ValueError, IndexError, KeyError) as exc:

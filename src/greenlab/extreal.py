@@ -11,6 +11,10 @@ conventions once so every module agrees:
   not depend on scheduling or BLAS threading;
 * overflow: a power, product or sum past the float range is +inf, the
   extended-real result, and numpy is not asked to warn about it.
+
+Every scalar number read from an input file goes through one of two
+rules, :func:`integer` or :func:`real`: a bool or a string is never a
+number, and an integer field never truncates.
 """
 
 from __future__ import annotations
@@ -24,6 +28,28 @@ TINY = 1e-300
 
 # entries per row block of a dense row-wise computation (2 MB of float64)
 _BLOCK_ENTRIES = 1 << 18
+
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def integer(value, name: str, least=None) -> int:
+    """``value`` as an int: an int or an integral float, numpy scalars
+    included, not a bool or a string (``int`` refuses inf and NaN)."""
+    if (not isinstance(value, _NUMBERS) or isinstance(value, bool) or int(value) != value
+            or (least is not None and value < least)):
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return int(value)
+
+
+def real(value, name: str, least=None) -> float:
+    """``value`` as a float: an int or a float, numpy scalars included,
+    not a bool or a string (a wrong type is a TypeError, as for ``float``)."""
+    if not isinstance(value, _NUMBERS) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if least is not None and not value >= least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return float(value)
 
 
 def ext_power(values, expo: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import gram_product, row_blocks
+from .extreal import gram_product, integer, real, row_blocks
 
 MATRIX = "matrix"
 RIESZ = "riesz"
@@ -57,18 +57,15 @@ class Kernel:
         elif self.variant == RIESZ:
             if self.alpha is None or self.dim is None:
                 raise ValueError("riesz kernel needs alpha and dim")
-            self.dim = int(self.dim)
-            self.alpha = float(self.alpha)
-            if self.dim < 1:
-                raise ValueError("riesz dim must be >= 1")
+            self.dim = integer(self.dim, "riesz dim", least=1)
+            self.alpha = real(self.alpha, "riesz alpha")
             if not 0.0 < self.alpha < self.dim / 2.0:
                 raise ValueError(
                     f"riesz alpha must lie in (0, dim/2); got alpha={self.alpha}, dim={self.dim}"
                 )
         for name in ("declared_h", "declared_a"):
-            val = getattr(self, name)
-            if val is not None and not val >= 1.0:
-                raise ValueError(f"{name} must be >= 1")
+            if getattr(self, name) is not None:  # checked, and kept as given
+                real(getattr(self, name), name, least=1)
 
     # -- constructors -------------------------------------------------
 
@@ -254,7 +251,8 @@ def estimate_wmp_constant(kernel: Kernel, samples: int = 64, seed: int = 0) -> f
         raise ValueError(
             f"WMP scan undefined: zero diagonal entry at site {int(zero[0])}"
         )
-    h = float(max(1.0, (G / diag[None, :]).max()))
+    with np.errstate(over="ignore"):  # a quotient past the float range is +inf
+        h = float(max(1.0, (G.max(axis=0) / diag).max()))  # max_i G[i, j] / G[j, j]
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -274,7 +272,7 @@ def resolve_h(kernel: Kernel) -> float:
     """WMP constant to use for a kernel: declared, else 1 for Green-type
     variants, else the probed lower bound."""
     if kernel.declared_h is not None:
-        return float(kernel.declared_h)
+        return real(kernel.declared_h, "declared_h", least=1)
     if kernel.variant != MATRIX:
         return 1.0
     return estimate_wmp_constant(kernel)
@@ -282,5 +280,5 @@ def resolve_h(kernel: Kernel) -> float:
 
 def resolve_quasi_symmetry(kernel: Kernel) -> float:
     if kernel.declared_a is not None:
-        return float(kernel.declared_a)
+        return real(kernel.declared_a, "declared_a", least=1)
     return estimate_quasi_symmetry(kernel)

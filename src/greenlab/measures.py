@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import ext_power, weighted_sum
+from .extreal import ext_power, integer, weighted_sum
 
 ATOMIC = "atomic"
 GRID = "grid"
@@ -50,12 +50,7 @@ class Measure:
             self.sites = sites
             self.weights = weights
         elif self.variant == GRID:
-            n = self.n_cells
-            integral = ((isinstance(n, (int, np.integer)) and not isinstance(n, bool))
-                        or (isinstance(n, float) and n.is_integer()))
-            if not integral or n < 1:
-                raise ValueError(f"grid measure n_cells must be an integer >= 1, got {n!r}")
-            self.n_cells = int(n)
+            self.n_cells = integer(self.n_cells, "grid measure n_cells", least=1)
             values = np.asarray(self.values, dtype=float)
             if values.shape != (self.n_cells,):
                 raise ValueError("need one value per grid cell")

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import TINY, ext_power, sup_abs
+from .extreal import TINY, ext_power, real, sup_abs
 from .kernels import RIESZ, Kernel, resolve_h
 from .measures import GRID, Field, Measure, lp_norm, power_integral, total_mass
 from .potentials import domain_sites, green_operator, max_norm_ratio
@@ -53,15 +53,14 @@ class Problem:
     h: InitVar[Optional[float]] = None  # declared WMP constant; read back as ``Problem.h``
 
     def __post_init__(self, h):
+        self.q, self.gamma = real(self.q, "q"), real(self.gamma, "gamma")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
         if not self.gamma > 0.0:
             raise ValueError("gamma must be > 0")
         if total_mass(self.sigma) <= 0.0:
             raise ValueError("sigma must not vanish identically")
-        if h is not None and not h >= 1.0:
-            raise ValueError("h must be >= 1")
-        self._h = h
+        self._h = None if h is None else real(h, "h", least=1)
 
     @property
     def mu_is_zero(self) -> bool:
@@ -85,9 +84,9 @@ class Problem:
             kernel=Kernel.from_dict(data["kernel"]),
             sigma=Measure.from_dict(data["sigma"]),
             mu=Measure.from_dict(mu) if mu else None,
-            q=float(data["q"]),
-            gamma=float(data.get("gamma", 1.0)),
-            h=float(data["h"]) if data.get("h") is not None else None,
+            q=data["q"],
+            gamma=data.get("gamma", 1.0),
+            h=data.get("h"),
         )
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import grid_derivative
-from .extreal import TINY, ext_power, weighted_sum
+from .extreal import TINY, ext_power, integer, weighted_sum
 from .kernels import Kernel, distance_powers, resolve_h, resolve_quasi_symmetry
 from .measures import GRID, Field, Measure, power_integral, total_mass
 from .potentials import (domain_sites, green_operator, lattice_column, max_norm_ratio,
@@ -249,8 +249,7 @@ def _relation_case3(i_sigma, i_mu, i_cross, q, gamma, h, aqs):
 
 
 def check_relation_chain(kernel: Kernel, sigma: Measure, mu: Measure, q: float,
-                         gamma: float, h: float,
-                         a_qs: Optional[float] = None) -> VerifyReport:
+                         gamma: float, h: float) -> VerifyReport:
     """Case-split chain inequality tying the two condition integrals to the
     cross integral, with the constants assembled factor by factor.
 
@@ -264,8 +263,6 @@ def check_relation_chain(kernel: Kernel, sigma: Measure, mu: Measure, q: float,
         raise ValueError("gamma must be > 0")
     dig = _digest_inputs(check="relation_chain", kernel=kernel, sigma=sigma,
                          mu=mu, q=q, gamma=gamma, h=h)
-    if a_qs is None:
-        a_qs = resolve_quasi_symmetry(kernel)
     i_sigma = power_integral(green_operator(kernel, sigma.support_sites, sigma)(),
                              (gamma + q) / (1.0 - q), sigma.integration_weights)
     # one mu operator gives G mu for I_mu and I_cross: on mu's sites alone
@@ -292,7 +289,7 @@ def check_relation_chain(kernel: Kernel, sigma: Measure, mu: Measure, q: float,
         case, fn = 1, _relation_case1
     else:
         case, fn = 2, _relation_case2
-    lhs, rhs, c, factors = fn(i_sigma, i_mu, i_cross, q, gamma, h, a_qs)
+    lhs, rhs, c, factors = fn(i_sigma, i_mu, i_cross, q, gamma, h, resolve_quasi_symmetry(kernel))
     passed = bool(np.isfinite(i_cross) and bool(_le(lhs, rhs, REL_TOL_CHAIN)))
     return VerifyReport("relation_chain", dig, float(lhs), float(rhs), float(c),
                         passed, float(rhs - lhs),
@@ -343,9 +340,7 @@ def exponent_table(n: int, p: float, q: float) -> dict:
     plain Lebesgue exponents sufficient for them; p_of_gamma round-trips
     gamma back to p, an exact algebraic identity.
     """
-    n = int(n)
-    if n < 3:
-        raise ValueError("n must be an integer >= 3")
+    n = integer(n, "n", least=3)
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if not (n / (n - 1.0) < p <= 2.0):
@@ -425,9 +420,7 @@ def check_hls_condition(alpha: float, n: int, beta: float,
     bit; any other input, or a lattice whose FFT it does not trust, takes
     the block sum.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", least=1)
     if not 0.0 < alpha < n / 2.0:
         raise ValueError("alpha must lie in (0, n/2)")
     if not beta > 0.0:

@@ -42,6 +42,14 @@ GRID_PROBLEM = {
 }
 
 
+# a 1-d Riesz kernel on a 4-cell grid, homogeneous: solved on the FFT path
+RIESZ_GRID_PROBLEM = {
+    "kernel": {"variant": "riesz", "alpha": 0.25, "dim": 1},
+    "sigma": {"variant": "grid", "n_cells": 4, "values": [1.0, 1.0, 1.0, 1.0]},
+    "q": 0.5,
+}
+
+
 # one small manifest entry per check kind
 FUZZ_MANIFEST_ENTRIES = {
     "iterated": {"check": "iterated", "kernel": {"variant": "matrix", "values": [[2, 1], [1, 2]]},
@@ -580,6 +588,41 @@ class TestExponents:
      "bad manifest entry 'equivalence': 'seed' must be an integer, got False"),
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "seed": math.nan}]},
      "bad manifest entry 'norm_constant': cannot convert float NaN"),
+    # every integer field by one rule: no truncation, no bool, no string
+    ("solve", {**RIESZ_GRID_PROBLEM, "kernel": {**RIESZ_GRID_PROBLEM["kernel"], "dim": 1.7}},
+     "riesz dim must be an integer >= 1, got 1.7"),
+    ("solve", {**RIESZ_GRID_PROBLEM, "kernel": {**RIESZ_GRID_PROBLEM["kernel"], "dim": True}},
+     "riesz dim must be an integer >= 1, got True"),
+    ("solve", {**RIESZ_GRID_PROBLEM, "kernel": {**RIESZ_GRID_PROBLEM["kernel"], "dim": "1"}},
+     "riesz dim must be an integer >= 1, got '1'"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["hls"], "n": 3.9}]},
+     "bad manifest entry 'hls': n must be an integer >= 1, got 3.9"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["hls"], "n": 2.5}]},
+     "bad manifest entry 'hls': n must be an integer >= 1, got 2.5"),
+    # h >= 1 wherever it is read, manifests included
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["iterated"], "h": 0.5}]},
+     "bad manifest entry 'iterated': 'h' must be >= 1, got 0.5"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["relation_chain"], "h": 0.5}]},
+     "bad manifest entry 'relation_chain': 'h' must be >= 1, got 0.5"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["relation_chain"], "h": -1}]},
+     "bad manifest entry 'relation_chain': 'h' must be >= 1, got -1"),
+    # every real field by one rule: no string, no bool
+    ("solve", {**RIESZ_GRID_PROBLEM, "kernel": {**RIESZ_GRID_PROBLEM["kernel"], "alpha": "0.25"}},
+     "problem file has a missing or malformed field: riesz alpha must be a number, got '0.25'"),
+    ("solve", {**GOLDEN_PROBLEM, "q": "0.5"},
+     "problem file has a missing or malformed field: q must be a number, got '0.5'"),
+    ("energy", {"kernel": {"variant": "interval1d"},
+                "omega": {"variant": "grid", "n_cells": 4, "values": [1, 1, 1, 1]},
+                "gamma": "2"},
+     "energy file has a missing or malformed field: gamma must be a number, got '2'"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["iterated"], "s": "2"}]},
+     "bad manifest entry 'iterated': 's' must be a number, got '2'"),
+    ("solve", {**GOLDEN_PROBLEM, "kernel": {**GOLDEN_PROBLEM["kernel"], "declared_h": True}},
+     "problem file has a missing or malformed field: declared_h must be a number, got True"),
+    ("solve", {**GOLDEN_PROBLEM, "h": True},
+     "problem file has a missing or malformed field: h must be a number, got True"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["iterated"], "s": True}]},
+     "bad manifest entry 'iterated': 's' must be a number, got True"),
 ], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
         "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
         "solve-null-site", "solve-object-site", "solve-fractional-n-cells",
@@ -588,7 +631,12 @@ class TestExponents:
         "verify-negative-samples", "verify-negative-samples-norm-constant",
         "verify-fractional-samples", "verify-bool-samples", "verify-string-samples",
         "verify-fractional-seed", "verify-fractional-seed-equivalence", "verify-bool-seed",
-        "verify-nan-seed"])
+        "verify-nan-seed", "solve-fractional-riesz-dim", "solve-bool-riesz-dim",
+        "solve-string-riesz-dim", "verify-fractional-hls-n", "verify-half-hls-n",
+        "verify-small-h-iterated", "verify-small-h-relation-chain",
+        "verify-negative-h-relation-chain", "solve-string-alpha", "solve-string-q",
+        "energy-string-gamma", "verify-string-s", "solve-bool-declared-h", "solve-bool-h",
+        "verify-bool-s"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err
@@ -610,6 +658,25 @@ def test_probe_counts_take_integral_floats(tmp_path, kind):
         reports.append(load_report(out)["reports"][0])
     assert reports[0]["lhs"] == reports[1]["lhs"] and reports[0]["details"] == reports[1]["details"]
     assert 0.0 < reports[2]["lhs"] <= reports[0]["lhs"]
+
+
+def test_flags_do_not_leak_between_calls(tmp_path):
+    # one parser serves every call in a process: the flags of a call are
+    # not the defaults of the next
+    inp = write(tmp_path, "p.json", GRID_PROBLEM)
+    out = tmp_path / "r.json"
+    assert main(["solve", inp, "--history", "--tol", "1e-9", "--seed", "3",
+                 "--probe-scale", "2.0", "--out", str(out)]) == 0
+    first = load_report(out)
+    assert first["config"]["history"] is True and "history" in first["result"]
+    assert "minimality_probe" in first
+    assert (first["config"]["tol"], first["config"]["seed"]) == (1e-9, 3)
+    out.unlink()
+    assert main(["solve", inp, "--out", str(out)]) == 0
+    second = load_report(out)
+    assert second["config"]["history"] is False and "history" not in second["result"]
+    assert (second["config"]["tol"], second["config"]["seed"]) == (1e-7, 0)
+    assert "minimality_probe" not in second
 
 
 def run_module(*argv):
@@ -674,6 +741,41 @@ def _replaced(doc, path, value):
         parent = parent[key]
     parent[path[-1]] = value
     return out
+
+
+# the number fields the fuzz documents leave out: a problem's h, a kernel's
+# declared constants, a Riesz kernel's alpha and dim
+NUMBER_DOCS = {
+    "declared": {**GOLDEN_PROBLEM, "h": 1.0,
+                 "kernel": {**GOLDEN_PROBLEM["kernel"], "declared_h": 1, "declared_a": 1.0}},
+    "riesz": RIESZ_GRID_PROBLEM,
+}
+
+
+def _number_cases():
+    """Every fuzz case, and every field of ``NUMBER_DOCS``, whose value is a number."""
+    cases = [(doc.get("check", command), command, doc, prefix, path)
+             for command, doc, prefix, path in _fuzz_cases()]
+    cases += [(f"solve-{name}", "solve", doc, (), path) for name, doc in NUMBER_DOCS.items()
+              for path in _fuzz_paths(doc)]
+    out = []
+    for name, command, doc, prefix, path in cases:
+        value = doc[path[0]] if len(path) == 1 else doc[path[0]][path[1]]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            out += [pytest.param(command, doc, prefix, path, bad, id=f"{name}-{'.'.join(path)}-{kind}")
+                    for kind, bad in (("bool", True), ("string", str(value)))]
+    return out
+
+
+@pytest.mark.parametrize("command, doc, prefix, path, bad", _number_cases())
+def test_a_number_field_takes_no_bool_or_string(tmp_path, capsys, command, doc, prefix, path,
+                                                 bad):
+    # the one error line names the replaced value, so the exit 2 is its own
+    payload = _replaced({"checks": [doc]} if prefix else doc, prefix + path, bad)
+    assert main([command, write(tmp_path, "in.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert repr(bad) in err
 
 
 @settings(max_examples=300, deadline=None)

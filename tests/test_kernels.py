@@ -165,6 +165,23 @@ class TestWmpConstant:
         assert estimate_wmp_constant(Kernel.matrix(G), samples=16, seed=5) == expected
         assert not masked
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_column_max_scan_is_the_full_quotient_scan(self, seed):
+        # division by a positive diagonal entry is monotone under
+        # round-to-nearest, so max_i G[i, j] / G[j, j] is the max of column
+        # j's quotients bit for bit, at every scale (one that overflows is
+        # +inf either way, with no warning from the scan)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        G = 10.0 ** rng.uniform(-300, 300, (n, n)) * (rng.random((n, n)) < 0.8)
+        np.fill_diagonal(G, 10.0 ** rng.uniform(-300, 300, n))
+        diag = np.diag(G)
+        with np.errstate(over="ignore"):
+            full = (G / diag[None, :]).max()
+            assert (G.max(axis=0) / diag).max().tobytes() == full.tobytes()
+            expected = wmp_reference(G, samples=1, seed=seed)
+        assert estimate_wmp_constant(Kernel.matrix(G), samples=1, seed=seed) == expected
+
 
 class TestRieszScaling:
     @settings(max_examples=50, deadline=None)
@@ -208,11 +225,14 @@ def test_distance_powers_match_the_one_shot_sum(dim, entries):
 
 def test_json_round_trip():
     for k in (Kernel.matrix([[2, 1], [1, 2]], declared_h=1.0),
+              Kernel.matrix([[2, 1], [1, 2]], declared_h=3, declared_a=2.5),
               Kernel.riesz(1.0, 3),
               Kernel.interval1d()):
         k2 = Kernel.from_dict(k.to_dict())
         assert k2.variant == k.variant
         assert k2.declared_h == k.declared_h
+        assert k2.declared_a == k.declared_a
+        assert type(k2.declared_h) is type(k.declared_h)  # kept as given: 3 stays an int
         if k.variant == "matrix":
             assert np.array_equal(k2.values, k.values)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -409,6 +410,51 @@ def test_row_blocks_cover_the_rows_in_order(n_rows, n_cols):
                           np.arange(n_rows))
     for b in blocks:
         assert b.stop - b.start == 1 or (b.stop - b.start) * n_cols <= 2**18
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), (3.0, 3), (np.int32(3), 3), (np.float32(3.0), 3), (-2, -2), (0.0, 0),
+])
+def test_integer_takes_integral_numbers(value, expected):
+    got = extreal.integer(value, "n")
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (1.7, ValueError, "n must be an integer >= 1, got 1.7"),
+    (True, ValueError, "n must be an integer >= 1, got True"),
+    ("1", ValueError, "n must be an integer >= 1, got '1'"),
+    (None, ValueError, "n must be an integer >= 1, got None"),
+    (np.bool_(True), ValueError, "n must be an integer >= 1"),
+    (0, ValueError, "n must be an integer >= 1, got 0"),
+    (math.inf, OverflowError, "cannot convert float infinity"),
+    (math.nan, ValueError, "cannot convert float NaN"),
+])
+def test_integer_refuses_the_rest(value, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        extreal.integer(value, "n", least=1)
+
+
+@pytest.mark.parametrize("value", [2, 0.5, np.float32(0.5), np.int64(2), -1.0, math.inf])
+def test_real_takes_ints_and_floats(value):
+    got = extreal.real(value, "x")
+    assert got == float(value) and type(got) is float
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (True, TypeError, "h must be a number, got True"),
+    ("2", TypeError, "h must be a number, got '2'"),
+    (None, TypeError, "h must be a number, got None"),
+    ([1.0], TypeError, "h must be a number, got [1.0]"),
+    (1 + 0j, TypeError, "h must be a number, got (1+0j)"),
+    (np.bool_(False), TypeError, "h must be a number"),
+    (0.5, ValueError, "h must be >= 1, got 0.5"),
+    (-1, ValueError, "h must be >= 1, got -1"),
+    (math.nan, ValueError, "h must be >= 1, got nan"),
+])
+def test_real_refuses_the_rest(value, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        extreal.real(value, "h", least=1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -285,6 +285,15 @@ class TestRelationLemma:
         assert a == pytest.approx((1.0 + 1.0 / 1.5) / 2.0)
         assert rep.passed
 
+    @pytest.mark.parametrize("declared_a", [None, 3.0])
+    def test_declared_quasi_symmetry_enters_the_chain(self, declared_a):
+        # the kernel's declared_a is the chain's quasi-symmetry factor, else
+        # the exact scan (2 for this matrix)
+        k = Kernel.matrix([[2.0, 2.0], [1.0, 2.0]], declared_a=declared_a)
+        om = Measure.atomic([0, 1], [1.0, 1.0])
+        rep = check_relation_chain(k, om, om, 0.5, 1.0, h=1.0)
+        assert rep.details["factors"]["quasi_symmetry"] == (declared_a or 2.0)
+
     def test_hypothesis_fail_branch(self):
         k = Kernel.riesz(1.0, 3)
         om = Measure.atomic([(0.0, 0.0, 0.0)], [1.0])
