@@ -134,6 +134,8 @@ def _manifest_check(entry: dict, seed: int):
     kind = entry.get("check")
     if kind is None:
         raise InputError("manifest entry without a 'check' field")
+    if kind != "hls" and "kernel" not in entry:
+        raise InputError(f"check {kind!r} needs a 'kernel'")
     kernel = Kernel.from_dict(entry["kernel"]) if "kernel" in entry else None
 
     def measure(key):
@@ -163,12 +165,12 @@ def _manifest_check(entry: dict, seed: int):
             u = solve(problem, tol=DEFAULT_TOL_ATOMIC).u_on_sigma()
         return verify_mod.check_lower_bound(kernel, omega, q, u, h)
     if kind == "norm_constant":
-        probe = _probe_args(entry, seed)
-        c = verify_mod.estimate_norm_constant(
-            kernel, measure("omega"), number("p"), number("r"), **probe)
+        inputs = dict(kernel=kernel, omega=measure("omega"), p=number("p"), r=number("r"),
+                      **_probe_args(entry, seed))
+        c = verify_mod.estimate_norm_constant(**inputs)
         return verify_mod.VerifyReport(
-            "norm_constant", verify_mod._digest_inputs(entry=entry),
-            c, c, c, True, 0.0, {"status": "estimated", "seed": probe["seed"]})
+            "norm_constant", verify_mod._digest_inputs(check="norm_constant", **inputs),
+            c, c, c, True, 0.0, {"status": "estimated", "seed": inputs["seed"]})
     if kind == "equivalence":
         return verify_mod.check_norm_equivalence(
             kernel, measure("omega"), number("p"), number("r"),
@@ -188,13 +190,13 @@ def _manifest_check(entry: dict, seed: int):
         elif phi_spec == "potential":
             phi = Field(omega, u.values.copy())
         else:
-            phi = Field(omega, phi_spec)
+            phi_spec = phi = Field(omega, phi_spec)  # a digest names it by its values
         ratios = verify_mod.check_hardy(u, omega, phi)
         ok = (ratios["zero_denominator"]
               or (ratios["ratio_a"] < float("inf") and ratios["ratio_b"] < float("inf")))
         return verify_mod.VerifyReport(
             "hardy",
-            verify_mod._digest_inputs(check="hardy", omega=omega, phi=phi_spec),
+            verify_mod._digest_inputs(check="hardy", kernel=kernel, omega=omega, phi=phi_spec),
             ratios["ratio_a"], ratios["ratio_b"], 0.0, bool(ok), 0.0,
             {"status": "checked", **ratios})
     raise InputError(f"unknown check kind {kind!r}")

@@ -91,8 +91,9 @@ def echo(obj):
 
 
 def digest(obj) -> str:
-    """Stable 12-hex-digit digest of a canonical JSON rendering of ``obj``."""
-    payload = json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """The first 12 hex digits of the SHA-256 of the sorted, compact JSON of
+    ``echo(obj)``: an array counts by its float64 bytes, as in ``config``."""
+    payload = json.dumps(echo(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 

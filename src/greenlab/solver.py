@@ -38,6 +38,7 @@ DEFAULT_TOL_GRID = 1e-7
 DEFAULT_MAX_ITER = 10_000
 
 MONOTONE_SLACK = 1e-12
+ULP_FLOOR = 4  # a sweep moving u by at most this many ulps of sup|u| has stopped
 DIVERGENCE_CAP = 1e300
 A_PRIORI_SAMPLES = 32  # random densities in the a priori norm-constant probe
 HISTORY_COLUMNS = ("iteration", "sup_change", "sup_value", "norm_sigma")  # one row per sweep
@@ -211,7 +212,9 @@ def _failure(ws: _Workspace, what: str) -> str:
 def _iterate(ws: _Workspace, u0: np.ndarray, conditions: dict, tol: float,
              max_iter: int, keep_history: bool) -> SolveReport:
     """Run the sweep from u0 until the sup change is below tol absolutely
-    and relatively.
+    and relatively, or is at most ULP_FLOOR = 4 ulps of sup|u|: no finer than
+    the floats resolve (near 2e11 an ulp is 3e-5, and u may move by one
+    ulp a sweep for ever).
 
     On convergence the reported u is the last iterate whose fixed-point
     residual sup|u - G(u^q d sigma) - G mu| was actually measured, so the
@@ -239,7 +242,7 @@ def _iterate(ws: _Workspace, u0: np.ndarray, conditions: dict, tol: float,
             sup = float(v.max()) if v.size else 0.0
             report.history.append(dict(zip(HISTORY_COLUMNS, (it, diff, sup, norm))))
         scale = max(sup_abs(v), TINY)
-        if diff <= tol and diff / scale <= tol:
+        if (diff <= tol and diff / scale <= tol) or diff <= ULP_FLOOR * np.spacing(scale):
             report.converged, report.residual_sup = True, diff
             return report
         report.u_values = u = v
@@ -323,7 +326,8 @@ def minimality_probe(problem: Problem, report: SolveReport, v0_scale: float,
 
     An empirical probe of minimality/uniqueness, not a proof: from
     v0 = v0_scale * (u + 1) the sweep decreases toward some fixed point;
-    ``agrees`` records whether it lands back on the computed solution.
+    ``agrees`` records whether it lands back on the computed solution,
+    within 10 tol max(1, sup u).
     ``problem`` must be ``report.problem``.
     """
     _same_problem(problem, report)
@@ -337,7 +341,7 @@ def minimality_probe(problem: Problem, report: SolveReport, v0_scale: float,
     conv = probe.converged
     gap = sup_abs(probe.u_values - report.u_values) if conv else float("inf")
     return {
-        "agrees": bool(conv and gap < 10.0 * tol),
+        "agrees": bool(conv and gap < 10.0 * tol * max(1.0, sup_abs(report.u_values))),
         "gap_sup": float(gap),
         "probe_converged": bool(conv),
         "iterations": probe.iterations,

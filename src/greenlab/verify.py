@@ -49,15 +49,12 @@ class VerifyReport:
 
 
 def _digest_inputs(**kwargs) -> str:
-    payload = {}
-    for key, val in kwargs.items():
-        if isinstance(val, (Kernel, Measure)):
-            payload[key] = val.to_dict()
-        elif isinstance(val, Field):
-            payload[key] = val.values
-        else:
-            payload[key] = val  # arrays are listed by ``digest``
-    return digest(payload)
+    """The instance digest of a check: ``serialize.digest`` of its parsed
+    inputs, a kernel or measure by its ``to_dict``, a field by its values
+    and a scalar or string as it is."""
+    return digest({key: val.to_dict() if isinstance(val, (Kernel, Measure))
+                   else val.values if isinstance(val, Field) else val
+                   for key, val in kwargs.items()})
 
 
 def _le(lhs, rhs, rel: float) -> np.ndarray:

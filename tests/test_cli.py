@@ -72,8 +72,10 @@ FUZZ_MANIFEST_ENTRIES = {
                        "q": 0.5, "gamma": 1.0},
     "hls": {"check": "hls", "alpha": 0.25, "n": 1, "beta": 1.0,
             "omega": {"variant": "grid", "n_cells": 4, "values": [1.0, 1.0, 1.0, 1.0]}},
+    # 32 cells: on fewer, sin(pi x) is too far from 0 in the end cells and
+    # check_hardy refuses the entry before it runs
     "hardy": {"check": "hardy", "kernel": {"variant": "interval1d"},
-              "omega": {"variant": "grid", "n_cells": 4, "values": [1.0, 1.0, 1.0, 1.0]},
+              "omega": {"variant": "grid", "n_cells": 32, "values": [1.0] * 32},
               "phi": "sin_pi"},
 }
 
@@ -427,9 +429,9 @@ class TestVerify:
         got = strip_timestamp((tmp_path / "r.json").read_text()).encode()
         assert got == (GOLDEN_DIR / "verify_lattice.json").read_bytes()
         assert err.getvalue().splitlines() == [
-            "PASS  hls             digest=68474c8b0e83  margin=0.2",
-            "PASS  iterated        digest=c1709477e6b3  margin=0.461",
-            "PASS  relation_chain  digest=54bed50699da  margin=0.104"]
+            "PASS  hls             digest=43c0fc3e5e14  margin=0.2",
+            "PASS  iterated        digest=deaa26228fc7  margin=0.461",
+            "PASS  relation_chain  digest=9da0c0106f27  margin=0.104"]
 
     def test_deterministic_modulo_timestamp(self, tmp_path):
         inp = write(tmp_path, "m.json", self.manifest())
@@ -465,7 +467,56 @@ class TestVerify:
         out = str(tmp_path / "r.json")
         assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
         assert [r["instance_digest"] for r in load_report(out)["reports"]] == [
-            "47fb724e86b3", "733d43589eba"]
+            "7dbc574c7cb2", "fafc82587b58"]
+
+    @pytest.mark.parametrize("entry, payload", [
+        ({"check": "iterated", "kernel": {"variant": "interval1d"},
+          "omega": {"variant": "grid", "n_cells": 4, "values": [1, 2, 0.5, 1]}, "s": 2},
+         {"check": "iterated", "kernel": {"variant": "interval1d"},
+          "omega": {"variant": "grid", "n_cells": 4, "values": echoed([1, 2, 0.5, 1])},
+          "s": 2.0, "h": 1.0}),
+        (FUZZ_MANIFEST_ENTRIES["norm_constant"],
+         {"check": "norm_constant",
+          "kernel": {"variant": "matrix", "values": echoed([[2, 1], [1, 2]])},
+          "omega": {"variant": "atomic", "sites": echoed([0, 1]), "weights": echoed([1, 1])},
+          "p": 3.0, "r": 1.5, "samples": 4, "seed": 1}),
+        (FUZZ_MANIFEST_ENTRIES["hardy"],
+         {"check": "hardy", "kernel": {"variant": "interval1d"},
+          "omega": {"variant": "grid", "n_cells": 32, "values": echoed([1.0] * 32)},
+          "phi": "sin_pi"}),
+    ], ids=["iterated", "norm_constant", "hardy"])
+    def test_digest_is_recomputed_from_the_echoed_inputs(self, tmp_path, entry, payload):
+        # a reader's recomputation: the check's parsed inputs, each array
+        # named as config names it, as sorted compact JSON
+        out = str(tmp_path / "r.json")
+        assert main(["verify", write(tmp_path, "m.json", {"checks": [entry]}), "--out", out]) == 0
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert (load_report(out)["reports"][0]["instance_digest"]
+                == hashlib.sha256(text.encode()).hexdigest()[:12])
+
+    def test_hardy_digest_names_the_kernel(self, tmp_path):
+        omega = {"variant": "grid", "n_cells": 64, "values": [1.0] * 64}
+        manifest = {"checks": [{"check": "hardy", "kernel": kernel, "omega": omega}
+                               for kernel in ({"variant": "interval1d"},
+                                              {"variant": "riesz", "alpha": 0.25, "dim": 1})]}
+        out = str(tmp_path / "r.json")
+        assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
+        interval, riesz = load_report(out)["reports"]
+        assert interval["lhs"] != riesz["lhs"]
+        assert interval["instance_digest"] != riesz["instance_digest"]
+
+    @pytest.mark.parametrize("kind", ["norm_constant", "equivalence"])
+    def test_digest_names_values_not_their_spelling(self, tmp_path, kind):
+        # "p": 3 or 3.0, an int or a float matrix: one instance, one digest
+        entry = FUZZ_MANIFEST_ENTRIES[kind]
+        respelled = {**entry, "p": 3,
+                     "kernel": {"variant": "matrix", "values": [[2.0, 1.0], [1.0, 2.0]]},
+                     "omega": {**entry["omega"], "weights": [1.0, 1.0]}}
+        out = str(tmp_path / "r.json")
+        assert main(["verify", write(tmp_path, "m.json", {"checks": [entry, respelled]}),
+                     "--out", out]) == 0
+        first, second = load_report(out)["reports"]
+        assert first == second
 
     def test_lower_bound_resolves_h_once(self, tmp_path, monkeypatch):
         scans = []
@@ -623,6 +674,10 @@ class TestExponents:
      "problem file has a missing or malformed field: h must be a number, got True"),
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["iterated"], "s": True}]},
      "bad manifest entry 'iterated': 's' must be a number, got True"),
+    # every kind but hls runs on a kernel
+    ("verify", {"checks": [{"check": "iterated", "s": 2.0,
+                            "omega": {"variant": "grid", "n_cells": 4, "values": [1, 1, 1, 1]}}]},
+     "check 'iterated' needs a 'kernel'"),
 ], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
         "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
         "solve-null-site", "solve-object-site", "solve-fractional-n-cells",
@@ -636,7 +691,7 @@ class TestExponents:
         "verify-small-h-iterated", "verify-small-h-relation-chain",
         "verify-negative-h-relation-chain", "solve-string-alpha", "solve-string-q",
         "energy-string-gamma", "verify-string-s", "solve-bool-declared-h", "solve-bool-h",
-        "verify-bool-s"])
+        "verify-bool-s", "verify-no-kernel"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err

@@ -14,6 +14,7 @@ from greenlab import (
     minimality_probe,
     solve,
 )
+from greenlab import solver
 from tests.helpers import (
     count_fft_setups,
     count_gram_builds,
@@ -150,6 +151,50 @@ class TestRunsThatCannotFinish:
         rep = solve(Problem(kernel=kernel, sigma=sigma, mu=mu, q=0.5))
         assert np.isposinf(rep.workspace.gmu).any()
         assert rep.diagnostic == "float range exceeded: I_sigma or G mu is infinite"
+
+
+class TestStopRule:
+    """A sweep that moves u by at most ULP_FLOOR ulps of sup|u| has stopped,
+    whatever tol asks for: the floats resolve u no finer."""
+
+    def test_riesz_grid_near_2e11(self):
+        # past about sweep 700 every sweep moves u by an ulp or two (3e-5);
+        # an absolute tol of 1e-7 is never met there
+        n = 4096
+        x = (np.arange(n) + 0.5) / n
+        p = Problem(kernel=Kernel.riesz(0.25, 1), sigma=Measure.grid(n, 1 + 0.5 * np.sin(3 * x)),
+                    mu=Measure.grid(n, 1 + x), q=0.95)
+        rep = solve(p, max_iter=2000)
+        sup = rep.u_values.max()
+        assert rep.converged and rep.monotone_ok and sup > 1e11
+        assert rep.residual_sup <= solver.ULP_FLOOR * np.spacing(sup)
+        # the probe's limit is as far off as the floats allow, not 10 tol
+        probe = minimality_probe(p, rep, 2.0, max_iter=2000)
+        assert probe["agrees"] and probe["gap_sup"] > 10 * p.default_tol()
+
+    @pytest.mark.parametrize("nudge", [False, True], ids=["plain", "one-ulp-oscillation"])
+    def test_matrix_near_1e12(self, monkeypatch, nudge):
+        # u ~ 7e12, an ulp 1e-3; the nudged apply adds one ulp every other
+        # sweep, so the iterates never freeze
+        rng = np.random.default_rng(0)
+        n, q = 12, 0.9
+        a = rng.uniform(0.1, 1.0, (n, n))
+        g = (a + a.T) / 2 + n * np.eye(n)
+        w, m = rng.uniform(0.5, 1.0, n), 1e11 * rng.uniform(0.5, 1.0, n)
+        if nudge:
+            apply, calls = solver._Workspace.apply, []
+
+            def nudged(ws, u):
+                calls.append(1)
+                v = apply(ws, u)
+                return np.nextafter(v, np.inf) if len(calls) % 2 else v
+            monkeypatch.setattr(solver._Workspace, "apply", nudged)
+        rep = solve(Problem(kernel=Kernel.matrix(g), sigma=Measure.atomic(np.arange(n), w),
+                            mu=Measure.atomic(np.arange(n), m), q=q), max_iter=1000)
+        sup = rep.u_values.max()
+        assert rep.converged and sup > 1e12
+        assert rep.residual_sup <= solver.ULP_FLOOR * np.spacing(sup)
+        np.testing.assert_allclose(rep.u_values, vector_fixed_point(g, w, g @ m, q), rtol=1e-12)
 
 
 class TestInhomogeneous:
