@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 a check failed or the solver did not converge,
 strings).  For provenance they embed the resolved configuration: its
 scalars as they are, each input array as its shape and SHA-256 digest
 (:func:`serialize.echo`).  Reports are byte-identical across runs for the
-same config and seed, except for the timestamp field.
+same input file and flags, except for the timestamp field.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .kernels import INTERVAL, Kernel, resolve_h
 from .measures import GRID, Field, Measure
 from .potentials import green_operator
 from .serialize import dumps, echo, write_csv, write_field_csv
-from .solver import (DEFAULT_TOL_ATOMIC, HISTORY_COLUMNS, Problem, a_priori_check,
-                     minimality_probe, solve)
+from .solver import (DEFAULT_MAX_ITER, DEFAULT_TOL_ATOMIC, HISTORY_COLUMNS, Problem,
+                     a_priori_check, minimality_probe, solve)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -70,6 +70,13 @@ def _base_report(command: str, config: dict) -> dict:
 
 
 def _cmd_solve(args) -> int:
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be finite and > 0, got {args.tol}")
+    if args.max_iter < 1:
+        raise InputError(f"--max-iter must be >= 1, got {args.max_iter}")
+    if args.probe_scale is not None and not (np.isfinite(args.probe_scale)
+                                             and args.probe_scale > 1):
+        raise InputError(f"--probe-scale must be finite and > 1, got {args.probe_scale}")
     data = _load_json(args.input)
     try:
         problem = Problem.from_dict(data)
@@ -81,7 +88,7 @@ def _cmd_solve(args) -> int:
                    keep_history=args.history)
     out = _base_report("solve", echo({
         "input": args.input, "tol": tol, "max_iter": args.max_iter,
-        "seed": args.seed, "history": bool(args.history),
+        "history": bool(args.history),
         "problem": problem.to_dict(),
     }))
     out["result"] = report.to_dict()
@@ -89,7 +96,7 @@ def _cmd_solve(args) -> int:
                                  if report.converged and not problem.mu_is_zero else None)
     if report.converged and args.probe_scale is not None:
         out["minimality_probe"] = minimality_probe(problem, report, args.probe_scale,
-                                                   tol=tol)
+                                                   tol=tol, max_iter=args.max_iter)
     converged, u, sites, history = (report.converged, report.u_values,
                                     report.workspace.eval_sites, report.history)
     del problem, report  # frees the operators before the report is written
@@ -115,7 +122,7 @@ def _cmd_energy(args) -> int:
         result = {"gamma": gamma,
                   "green_energy": green_energy(kernel, omega, gamma)}
     out = _base_report("energy", echo({
-        "input": args.input, "seed": args.seed,
+        "input": args.input,
         "kernel": kernel.to_dict(), "omega": omega.to_dict(), "gamma": gamma,
     }))
     out["result"] = result
@@ -126,14 +133,21 @@ def _cmd_energy(args) -> int:
 def _probe_args(entry: dict, seed: int) -> dict:
     """The random densities of a norm-constant probe: ``samples`` >= 0
     (0 probes the structured densities only) and an integer ``seed``."""
-    return {"samples": integer(entry.get("samples", 200), "'samples'", least=0),
+    return {"samples": integer(entry.get("samples", verify_mod.NORM_SAMPLES), "'samples'",
+                               least=0),
             "seed": integer(entry.get("seed", seed), "'seed'")}
+
+
+_CHECK_KINDS = ("iterated", "lower_bound", "norm_constant", "equivalence", "relation_chain",
+                "hls", "hardy")
 
 
 def _manifest_check(entry: dict, seed: int):
     kind = entry.get("check")
     if kind is None:
         raise InputError("manifest entry without a 'check' field")
+    if kind not in _CHECK_KINDS:
+        raise InputError(f"unknown check kind {kind!r}")
     if kind != "hls" and "kernel" not in entry:
         raise InputError(f"check {kind!r} needs a 'kernel'")
     kernel = Kernel.from_dict(entry["kernel"]) if "kernel" in entry else None
@@ -158,8 +172,7 @@ def _manifest_check(entry: dict, seed: int):
         if "u" in entry:
             u = Field(omega, entry["u"])
         else:
-            problem = Problem(kernel=kernel, sigma=omega, q=q,
-                              gamma=entry.get("gamma", 1.0), h=h)
+            problem = Problem(kernel=kernel, sigma=omega, q=q, h=h)
             # solved below the hypothesis slack of 1e-9: the monotone iterate
             # is a sub-solution, short of u >= G(u^q d omega) by about tol
             u = solve(problem, tol=DEFAULT_TOL_ATOMIC).u_on_sigma()
@@ -181,25 +194,24 @@ def _manifest_check(entry: dict, seed: int):
     if kind == "hls":
         return verify_mod.check_hls_condition(
             number("alpha"), entry["n"], number("beta"), measure("omega"))
-    if kind == "hardy":
-        omega = measure("omega")
-        u = Field(omega, green_operator(kernel, omega.midpoints, omega)())
-        phi_spec = entry.get("phi", "sin_pi")
-        if phi_spec == "sin_pi":
-            phi = Field(omega, np.sin(np.pi * omega.midpoints))
-        elif phi_spec == "potential":
-            phi = Field(omega, u.values.copy())
-        else:
-            phi_spec = phi = Field(omega, phi_spec)  # a digest names it by its values
-        ratios = verify_mod.check_hardy(u, omega, phi)
-        ok = (ratios["zero_denominator"]
-              or (ratios["ratio_a"] < float("inf") and ratios["ratio_b"] < float("inf")))
-        return verify_mod.VerifyReport(
-            "hardy",
-            verify_mod._digest_inputs(check="hardy", kernel=kernel, omega=omega, phi=phi_spec),
-            ratios["ratio_a"], ratios["ratio_b"], 0.0, bool(ok), 0.0,
-            {"status": "checked", **ratios})
-    raise InputError(f"unknown check kind {kind!r}")
+    # hardy
+    omega = measure("omega")
+    u = Field(omega, green_operator(kernel, omega.midpoints, omega)())
+    phi_spec = entry.get("phi", "sin_pi")
+    if phi_spec == "sin_pi":
+        phi = Field(omega, np.sin(np.pi * omega.midpoints))
+    elif phi_spec == "potential":
+        phi = Field(omega, u.values.copy())
+    else:
+        phi_spec = phi = Field(omega, phi_spec)  # a digest names it by its values
+    ratios = verify_mod.check_hardy(u, omega, phi)
+    ok = (ratios["zero_denominator"]
+          or (ratios["ratio_a"] < float("inf") and ratios["ratio_b"] < float("inf")))
+    return verify_mod.VerifyReport(
+        "hardy",
+        verify_mod._digest_inputs(check="hardy", kernel=kernel, omega=omega, phi=phi_spec),
+        ratios["ratio_a"], ratios["ratio_b"], 0.0, bool(ok), 0.0,
+        {"status": "checked", **ratios})
 
 
 def _cmd_verify(args) -> int:
@@ -234,8 +246,7 @@ def _cmd_exponents(args) -> int:
         table = verify_mod.exponent_table(args.n, args.p, args.q)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    out = _base_report("exponents", {"n": args.n, "p": args.p, "q": args.q,
-                                     "seed": args.seed})
+    out = _base_report("exponents", {"n": args.n, "p": args.p, "q": args.q})
     out["result"] = table
     _emit(out, args.out)
     return EXIT_OK
@@ -249,12 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0)
 
     p_solve = sub.add_parser("solve", help="run the monotone iteration on a problem file")
     p_solve.add_argument("input")
     p_solve.add_argument("--tol", type=float, default=None)
-    p_solve.add_argument("--max-iter", type=int, default=10_000)
+    p_solve.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_solve.add_argument("--history", action="store_true",
                          help="record per-iteration norms (CSV next to --out)")
     p_solve.add_argument("--probe-scale", type=float, default=None,
@@ -267,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a manifest of checks")
     p_verify.add_argument("input")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed of a norm-constant probe whose entry gives none")
     common(p_verify)
 
     p_exp = sub.add_parser("exponents", help="exponent table for given (n, p, q)")

@@ -20,6 +20,8 @@ from .kernels import INTERVAL, Kernel
 from .measures import GRID, Field, Measure, power_integral
 from .potentials import green_operator
 
+FLOOR_EPS = 1e-12  # cells where u is below this are left out of the gradient energy
+
 
 @dataclass
 class EnergyReport:
@@ -61,38 +63,36 @@ def grid_derivative(values: np.ndarray, n_cells: int) -> np.ndarray:
     return dv
 
 
-def gradient_energy(u: Field, gamma: float, floor_eps: float = 1e-12):
+def gradient_energy(u: Field, gamma: float):
     """Discrete integral of |u'|^2 u^(gamma-1) dx on the grid.
 
-    Cells where u < floor_eps are dropped from the sum (the integrand
+    Cells where u < FLOOR_EPS are dropped from the sum (the integrand
     u^(gamma-1) blows up near the boundary for gamma < 1) and the total
     width of the dropped cells is returned as ``excluded_mass`` so the
     approximation stays auditable.
     """
     if not gamma > 0:
         raise ValueError("gamma must be > 0")
-    if floor_eps < 0:
-        raise ValueError("floor_eps must be >= 0")
     m = u.measure_ref
     if m is None or m.variant != GRID:
         raise ValueError("gradient_energy needs a field sampled on a grid")
     n = m.n_cells
     du = grid_derivative(u.values, n)
-    keep = u.values >= floor_eps
+    keep = u.values >= FLOOR_EPS
     integrand = du[keep] ** 2 * ext_power(u.values[keep], gamma - 1.0)
     value = float(np.sum(integrand) * m.cell_width)
     excluded = float(np.count_nonzero(~keep) * m.cell_width)
     return value, excluded
 
 
-def ibp_check(kernel: Kernel, omega: Measure, gamma: float,
-              floor_eps: float = 1e-12) -> EnergyReport:
-    """Compare E_gamma[omega] with gamma times the gradient energy of G omega."""
+def ibp_check(kernel: Kernel, omega: Measure, gamma: float) -> EnergyReport:
+    """Compare E_gamma[omega] with gamma times the gradient energy of G omega;
+    ``excluded_mass`` is the width of the cells ``gradient_energy`` drops."""
     if kernel.variant != INTERVAL or omega.variant != GRID:
         raise ValueError("ibp_check runs on the interval kernel with a grid measure")
     u = Field(omega, green_operator(kernel, omega.midpoints, omega)())
     e_green = power_integral(u.values, gamma, omega.integration_weights)
-    e_grad, excluded = gradient_energy(u, gamma, floor_eps)
+    e_grad, excluded = gradient_energy(u, gamma)
     report = EnergyReport(gamma=gamma, green_energy=e_green,
                           gradient_energy=e_grad, excluded_mass=excluded,
                           n_cells=omega.n_cells)

@@ -14,7 +14,7 @@ conventions once so every module agrees:
 
 Every scalar number read from an input file goes through one of two
 rules, :func:`integer` or :func:`real`: a bool or a string is never a
-number, and an integer field never truncates.
+number, an integer field never truncates, and a real field is finite.
 """
 
 from __future__ import annotations
@@ -43,12 +43,15 @@ def integer(value, name: str, least=None) -> int:
 
 
 def real(value, name: str, least=None) -> float:
-    """``value`` as a float: an int or a float, numpy scalars included,
-    not a bool or a string (a wrong type is a TypeError, as for ``float``)."""
+    """``value`` as a finite float: an int or a float, numpy scalars
+    included, not a bool or a string (a wrong type is a TypeError, as for
+    ``float``); NaN, +inf and -inf are a ValueError."""
     if not isinstance(value, _NUMBERS) or isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got {value!r}")
     if least is not None and not value >= least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

@@ -149,19 +149,6 @@ def total_mass(m: Measure) -> float:
         return float(np.sum(m.integration_weights))
 
 
-def same_sampling(f: Field, m: Measure) -> bool:
-    if f.measure_ref is None:
-        return False
-    if f.measure_ref is m:
-        return True
-    a, b = f.measure_ref, m
-    if a.variant != b.variant or a.size != b.size:
-        return False
-    if a.variant == ATOMIC:
-        return bool(np.array_equal(a.sites, b.sites) and np.array_equal(a.weights, b.weights))
-    return a.n_cells == b.n_cells and bool(np.array_equal(a.values, b.values))
-
-
 def power_integral(values, expo: float, weights):
     """Integral of values^expo against per-site weights; may be +inf.
 
@@ -171,10 +158,12 @@ def power_integral(values, expo: float, weights):
     return out if out.ndim else float(out)
 
 
-def lp_norm(f: Field, p: float, m: Measure) -> float:
-    """(Integral of |f|^p dm)^(1/p); +inf propagates through."""
+def lp_norm(f: Field, p: float) -> float:
+    """(Integral of |f|^p against the measure f is sampled on)^(1/p); +inf
+    propagates through.  A field without a measure cannot be integrated."""
     if not p > 0:
         raise ValueError("p must be > 0")
-    if not same_sampling(f, m):
-        raise ValueError("field is not sampled against this measure")
-    return float(ext_power(power_integral(np.abs(f.values), p, m.integration_weights), 1.0 / p))
+    if f.measure_ref is None:
+        raise ValueError("field has no measure to integrate against")
+    weights = f.measure_ref.integration_weights
+    return float(ext_power(power_integral(np.abs(f.values), p, weights), 1.0 / p))

@@ -129,9 +129,9 @@ class SolveReport:
 
     def norms(self) -> dict:
         p = self.problem
-        out = {"L_gamma_plus_q_sigma": lp_norm(self.u_on_sigma(), p.gamma + p.q, p.sigma)}
+        out = {"L_gamma_plus_q_sigma": lp_norm(self.u_on_sigma(), p.gamma + p.q)}
         if not p.mu_is_zero:
-            out["L_gamma_mu"] = lp_norm(self.u_on_mu(), p.gamma, p.mu)
+            out["L_gamma_mu"] = lp_norm(self.u_on_mu(), p.gamma)
         return out
 
     def to_dict(self) -> dict:
@@ -238,7 +238,7 @@ def _iterate(ws: _Workspace, u0: np.ndarray, conditions: dict, tol: float,
             report.monotone_ok = False
         diff = sup_abs(v - u)
         if keep_history:
-            norm = lp_norm(Field(p.sigma, v[ws.sigma_pos]), p.gamma + p.q, p.sigma)
+            norm = lp_norm(Field(p.sigma, v[ws.sigma_pos]), p.gamma + p.q)
             sup = float(v.max()) if v.size else 0.0
             report.history.append(dict(zip(HISTORY_COLUMNS, (it, diff, sup, norm))))
         scale = max(sup_abs(v), TINY)
@@ -307,8 +307,8 @@ def a_priori_check(problem: Problem, report: SolveReport,
                                ws.w_sigma, ws.gsigma[ws.sigma_pos], p=r_exp / p.q, r=r_exp,
                                samples=A_PRIORI_SAMPLES, seed=0)
     c = max(1.0, 2.0 ** ((1.0 - r_exp) / r_exp))
-    norm_u = lp_norm(report.u_on_sigma(), r_exp, p.sigma)
-    norm_gmu = lp_norm(Field(p.sigma, ws.gmu[ws.sigma_pos]), r_exp, p.sigma)
+    norm_u = lp_norm(report.u_on_sigma(), r_exp)
+    norm_gmu = lp_norm(Field(p.sigma, ws.gmu[ws.sigma_pos]), r_exp)
     bound = (c_est * c) ** (1.0 / (1.0 - p.q)) + c / (1.0 - p.q) * norm_gmu
     return {
         "bound_value": float(bound),

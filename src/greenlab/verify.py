@@ -31,6 +31,7 @@ from .serialize import digest
 
 REL_TOL_ATOMIC = 1e-12
 REL_TOL_CHAIN = 1e-9
+NORM_SAMPLES = 200  # random densities in a norm-constant probe by default
 
 
 @dataclass
@@ -69,12 +70,15 @@ def check_lower_bound(kernel: Kernel, omega: Measure, q: float, u: Field,
                       h: float) -> VerifyReport:
     """Pointwise bound u >= (1-q)^(1/(1-q)) h^(-q/(1-q)) (G omega)^(1/(1-q)).
 
-    The hypothesis u >= G(u^q d omega) is checked first (within 1e-9); if
-    it fails the report carries status "hypothesis-fail" instead of a
-    verdict on the conclusion.
+    u must be >= 0 and not NaN at every site (+inf is allowed).  The
+    hypothesis u >= G(u^q d omega) is checked first (within 1e-9); if it
+    fails the report carries status "hypothesis-fail" instead of a verdict
+    on the conclusion.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
+    if not np.all(u.values >= 0.0):
+        raise ValueError("u must be >= 0 and not NaN at every site")
     dig = _digest_inputs(check="lower_bound", kernel=kernel, omega=omega, q=q,
                          u=u, h=h)
     vals = u.values
@@ -155,7 +159,7 @@ def _self_operator(kernel: Kernel, omega: Measure, p: float, r: float):
 
 
 def estimate_norm_constant(kernel: Kernel, omega: Measure, p: float, r: float,
-                           samples: int = 200, seed: int = 0) -> float:
+                           samples: int = NORM_SAMPLES, seed: int = 0) -> float:
     """Certified lower bound on the best constant C in the (p, r) weighted
     norm inequality ||G(f d omega)||_{L^r(omega)} <= C ||f||_{L^p(omega)}.
 
@@ -169,7 +173,7 @@ def estimate_norm_constant(kernel: Kernel, omega: Measure, p: float, r: float,
 
 
 def check_norm_equivalence(kernel: Kernel, omega: Measure, p: float, r: float,
-                           samples: int = 200, seed: int = 0,
+                           samples: int = NORM_SAMPLES, seed: int = 0,
                            h: Optional[float] = None) -> VerifyReport:
     """Finiteness of the energy integral of exponent p*r/(p-r) versus the
     observed norm constant.

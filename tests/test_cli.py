@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import greenlab
-from greenlab import Problem, a_priori_check, solve
+from greenlab import Kernel, Measure, Problem, a_priori_check, potential, solve
 from greenlab.cli import main
 from greenlab.serialize import dumps, jsonable
 
@@ -77,6 +77,13 @@ FUZZ_MANIFEST_ENTRIES = {
     "hardy": {"check": "hardy", "kernel": {"variant": "interval1d"},
               "omega": {"variant": "grid", "n_cells": 32, "values": [1.0] * 32},
               "phi": "sin_pi"},
+}
+
+
+# a homogeneous lower_bound entry on a 4-cell interval grid
+LOWER_BOUND_GRID_ENTRY = {
+    "check": "lower_bound", "kernel": {"variant": "interval1d"},
+    "omega": {"variant": "grid", "n_cells": 4, "values": [1.0, 1.0, 1.0, 1.0]}, "q": 0.5,
 }
 
 
@@ -551,6 +558,32 @@ class TestVerify:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_hardy_phi_potential(self, tmp_path):
+        # phi = u = G omega on 64 cells is 3.1 % of its maximum in the end
+        # cells, inside check_hardy's 5 % slack; it is those values given inline
+        omega = {"variant": "grid", "n_cells": 64, "values": [1.0] * 64}
+        u = potential(Kernel.interval1d(), Measure.from_dict(omega)).values.tolist()
+        reports = []
+        for phi in ("potential", u):
+            entry = {**FUZZ_MANIFEST_ENTRIES["hardy"], "omega": omega, "phi": phi}
+            out = str(tmp_path / "r.json")
+            assert main(["verify", write(tmp_path, "m.json", {"checks": [entry]}),
+                         "--out", out]) == 0
+            reports.append(load_report(out)["reports"][0])
+        assert reports[0]["passed"] is True and reports[0]["details"]["status"] == "checked"
+        assert (reports[0]["lhs"], reports[0]["rhs"]) == (reports[1]["lhs"], reports[1]["rhs"])
+
+    def test_lower_bound_reads_no_gamma(self, tmp_path):
+        # the homogeneous solve behind the check does not depend on gamma,
+        # so an entry's gamma is not read, however malformed
+        reports = []
+        for extra in ({}, {"gamma": 3.0}, {"gamma": "junk"}):
+            out = str(tmp_path / "r.json")
+            manifest = {"checks": [{**LOWER_BOUND_GRID_ENTRY, **extra}]}
+            assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
+            reports.append(load_report(out)["reports"][0])
+        assert reports[0] == reports[1] == reports[2]
+
     def test_lower_bound_solved_below_hypothesis_slack(self, tmp_path):
         # the solve behind the check must land within the 1e-9 slack of
         # u >= G(u^q d omega), or the check reports a spurious hypothesis-fail
@@ -678,6 +711,28 @@ class TestExponents:
     ("verify", {"checks": [{"check": "iterated", "s": 2.0,
                             "omega": {"variant": "grid", "n_cells": 4, "values": [1, 1, 1, 1]}}]},
      "check 'iterated' needs a 'kernel'"),
+    ("verify", {"checks": [{"check": "foo", "s": 2.0}]}, "unknown check kind 'foo'"),
+    # every real field is finite
+    ("solve", {**GOLDEN_PROBLEM, "gamma": math.inf},
+     "gamma must be finite, got inf"),
+    ("solve", {**GOLDEN_PROBLEM, "h": math.inf}, "h must be finite, got inf"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["iterated"], "s": math.inf}]},
+     "bad manifest entry 'iterated': 's' must be finite, got inf"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "p": math.inf}]},
+     "bad manifest entry 'equivalence': 'p' must be finite, got inf"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["hls"], "beta": math.inf}]},
+     "bad manifest entry 'hls': 'beta' must be finite, got inf"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["relation_chain"], "gamma": math.inf}]},
+     "bad manifest entry 'relation_chain': 'gamma' must be finite, got inf"),
+    # a lower_bound field is >= 0 and not NaN, as a measure's values are
+    ("verify", {"checks": [{**LOWER_BOUND_GRID_ENTRY, "u": [-1, 1, 1, 1]}]},
+     "bad manifest entry 'lower_bound': u must be >= 0 and not NaN at every site"),
+    ("verify", {"checks": [{**LOWER_BOUND_GRID_ENTRY, "u": [math.nan, 1, 1, 1]}]},
+     "bad manifest entry 'lower_bound': u must be >= 0 and not NaN at every site"),
+    # phi = G omega on 32 cells is 6.25 % of its maximum in the end cells,
+    # over check_hardy's 5 % slack
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["hardy"], "phi": "potential"}]},
+     "bad manifest entry 'hardy': phi must vanish at both endpoints of (0, 1)"),
 ], ids=["energy-null-gamma", "solve-top-level-list", "verify-top-level-list",
         "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
         "solve-null-site", "solve-object-site", "solve-fractional-n-cells",
@@ -691,7 +746,10 @@ class TestExponents:
         "verify-small-h-iterated", "verify-small-h-relation-chain",
         "verify-negative-h-relation-chain", "solve-string-alpha", "solve-string-q",
         "energy-string-gamma", "verify-string-s", "solve-bool-declared-h", "solve-bool-h",
-        "verify-bool-s", "verify-no-kernel"])
+        "verify-bool-s", "verify-no-kernel", "verify-unknown-kind", "solve-infinite-gamma",
+        "solve-infinite-h", "verify-infinite-s", "verify-infinite-p", "verify-infinite-beta",
+        "verify-infinite-gamma", "verify-negative-u", "verify-nan-u",
+        "verify-hardy-potential-32-cells"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert main([command, write(tmp_path, "in.json", payload)]) == 2
     err = capsys.readouterr().err
@@ -720,18 +778,56 @@ def test_flags_do_not_leak_between_calls(tmp_path):
     # not the defaults of the next
     inp = write(tmp_path, "p.json", GRID_PROBLEM)
     out = tmp_path / "r.json"
-    assert main(["solve", inp, "--history", "--tol", "1e-9", "--seed", "3",
+    assert main(["solve", inp, "--history", "--tol", "1e-9",
                  "--probe-scale", "2.0", "--out", str(out)]) == 0
     first = load_report(out)
     assert first["config"]["history"] is True and "history" in first["result"]
     assert "minimality_probe" in first
-    assert (first["config"]["tol"], first["config"]["seed"]) == (1e-9, 3)
+    assert first["config"]["tol"] == 1e-9
     out.unlink()
     assert main(["solve", inp, "--out", str(out)]) == 0
     second = load_report(out)
     assert second["config"]["history"] is False and "history" not in second["result"]
-    assert (second["config"]["tol"], second["config"]["seed"]) == (1e-7, 0)
+    assert second["config"]["tol"] == 1e-7
     assert "minimality_probe" not in second
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"),
+    ("--max-iter", "0"), ("--max-iter", "-3"),
+    ("--probe-scale", "inf"), ("--probe-scale", "nan"), ("--probe-scale", "1"),
+])
+def test_solve_flag_out_of_range_exits_two(tmp_path, capsys, flag, value):
+    # refused before any work: the input file is not even read
+    assert main(["solve", str(tmp_path / "absent.json"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} must be ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "p.json"], ["energy", "e.json"], ["exponents", "--n", "3", "--p", "2", "--q", "0.5"],
+], ids=["solve", "energy", "exponents"])
+def test_seed_belongs_to_verify(argv, capsys):
+    # solve's random probes always draw from seed 0: only a verify report
+    # depends on a seed
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_probe_runs_under_max_iter(tmp_path):
+    # GRID_PROBLEM solves in 10 sweeps and its 2x probe needs 12: under
+    # --max-iter 11 the solve converges and the probe stops at 11 sweeps
+    inp = write(tmp_path, "p.json", GRID_PROBLEM)
+    out = tmp_path / "r.json"
+    assert main(["solve", inp, "--max-iter", "11", "--probe-scale", "2.0",
+                 "--out", str(out)]) == 0
+    rep = load_report(out)
+    assert rep["result"]["iterations"] == 10
+    probe = rep["minimality_probe"]
+    assert (probe["probe_converged"], probe["iterations"]) == (False, 11)
+    assert probe["diagnostic"].startswith("max_iter=11 exceeded")
 
 
 def run_module(*argv):

@@ -88,7 +88,7 @@ class TestGradientEnergy:
     def test_floor_reports_excluded_mass(self):
         m = Measure.lebesgue(10)
         vals = np.array([0.0, 0.0, 1, 1, 1, 1, 1, 1, 0.5, 0.5])
-        val, excl = gradient_energy(Field(m, vals), 0.5, floor_eps=1e-12)
+        val, excl = gradient_energy(Field(m, vals), 0.5)
         assert excl == pytest.approx(0.2)
         assert np.isfinite(val)
 
