@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import json.decoder
+import json.scanner
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import verify as verify_mod
 from .energy import green_energy, ibp_check
@@ -37,17 +41,53 @@ class InputError(Exception):
     pass
 
 
+# the rest of a flat array of numbers, from just after its "[" through its "]"
+_NUMBER_ARRAY = re.compile(r"[-+.0-9eE \t\n\r,]*\]")
+_INT64 = 2 ** 63  # orjson reads an integer outside [-2**63, 2**64) as a float
+
+
+def _parse_array(s_and_end, scan_once):
+    """``json.decoder.JSONArray``, but a flat array of numbers is read by
+    orjson, which gives the same ints and the same float bits as json."""
+    text, end = s_and_end
+    flat = _NUMBER_ARRAY.match(text, end)
+    if flat:
+        try:
+            values = orjson.loads(text[end - 1:flat.end()])
+        except orjson.JSONDecodeError:  # also 1E400, which json reads as inf
+            pass
+        else:
+            if not values or (-_INT64 < min(values) and max(values) < _INT64):
+                return values, flat.end()
+    return json.decoder.JSONArray(s_and_end, scan_once)
+
+
+def _loads(text: str):
+    """What ``json.loads(text)`` returns or raises.  Anything the fast
+    reader refuses, or nests deeper than Python's scanner can, is handed to
+    ``json.loads`` itself, so its errors and edge cases are json's own."""
+    decoder = json.JSONDecoder()
+    decoder.parse_array = _parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)  # C's ignores parse_array
+    try:
+        return decoder.decode(text)
+    except (ValueError, RecursionError):
+        return json.loads(text)
+
+
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = _loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object, got {type(data).__name__}")
     return data
@@ -175,7 +215,15 @@ def _manifest_check(entry: dict, seed: int):
             problem = Problem(kernel=kernel, sigma=omega, q=q, h=h)
             # solved below the hypothesis slack of 1e-9: the monotone iterate
             # is a sub-solution, short of u >= G(u^q d omega) by about tol
-            u = solve(problem, tol=DEFAULT_TOL_ATOMIC).u_on_sigma()
+            report = solve(problem, tol=DEFAULT_TOL_ATOMIC)
+            if not report.converged:  # its last iterate is no sub-solution to check
+                return verify_mod.VerifyReport(
+                    "lower_bound",
+                    verify_mod._digest_inputs(check="lower_bound", kernel=kernel, omega=omega,
+                                              q=q, h=h),
+                    0.0, 0.0, 0.0, False, 0.0,
+                    {"status": "solve-failed", "diagnostic": report.diagnostic})
+            u = report.u_on_sigma()
         return verify_mod.check_lower_bound(kernel, omega, q, u, h)
     if kind == "norm_constant":
         inputs = dict(kernel=kernel, omega=measure("omega"), p=number("p"), r=number("r"),

@@ -218,7 +218,14 @@ class TestSolve:
         path.write_text('{"kernel": ???}')
         assert main(["solve", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "line" in err and "column" in err
+        assert err == f"error: malformed JSON in {path} at line 1, column 12: Expecting value\n"
+
+    def test_deeply_nested_input_is_input_error(self, tmp_path, capsys):
+        # json.dumps cannot write this: it recurses as deep as the reader
+        path = tmp_path / "deep.json"
+        path.write_text('{"kernel": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} is nested too deeply to read\n"
 
     def test_unknown_kernel_variant(self, tmp_path, capsys):
         bad = dict(GOLDEN_PROBLEM, kernel={"variant": "sphere"})
@@ -596,6 +603,23 @@ class TestVerify:
         assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
         rep = load_report(out)["reports"][0]
         assert rep["details"]["status"] == "checked" and rep["passed"] is True
+
+    def test_lower_bound_on_a_failed_solve_says_why(self, tmp_path, capsys):
+        # I_sigma is infinite for a Riesz kernel on atoms: the solve stops at
+        # once, and its +inf start is no sub-solution to check
+        manifest = {"checks": [
+            {"check": "lower_bound", "kernel": {"variant": "riesz", "alpha": 0.25, "dim": 1},
+             "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1, 1]}, "q": 0.5},
+        ]}
+        out = tmp_path / "r.json"
+        assert main(["verify", write(tmp_path, "m.json", manifest), "--out", str(out)]) == 1
+        rep = load_report(out)["reports"][0]
+        assert rep["passed"] is False
+        assert rep["details"] == {"status": "solve-failed",
+                                  "diagnostic": "necessary condition violated: I_sigma is infinite"}
+        assert "nan" not in out.read_text()
+        err = capsys.readouterr().err
+        assert err == f"FAIL  lower_bound  digest={rep['instance_digest']}  margin=0\n"
 
 
 class TestExponents:
