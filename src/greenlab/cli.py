@@ -14,7 +14,7 @@ import argparse
 import json
 import json.decoder
 import json.scanner
-import re
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,44 +41,57 @@ class InputError(Exception):
     pass
 
 
-# the rest of a flat array of numbers, from just after its "[" through its "]"
-_NUMBER_ARRAY = re.compile(r"[-+.0-9eE \t\n\r,]*\]")
-_INT64 = 2 ** 63  # orjson reads an integer outside [-2**63, 2**64) as a float
+# orjson reads an integer outside [-2**63, 2**64) as a float.  Items whose
+# root sum of squares is below 2**62 are each below 2**63 in magnitude,
+# whatever the rounding of math.hypot.
+_HYPOT_BOUND = 2.0 ** 62
 
 
 def _parse_array(s_and_end, scan_once):
-    """``json.decoder.JSONArray``, but a flat array of numbers is read by
-    orjson, which gives the same ints and the same float bits as json."""
+    """``json.decoder.JSONArray``, but an array of numbers with no array
+    inside is read by orjson, which gives the same ints and float bits.
+
+    The slice from the array's ``[`` to the first ``]`` after it goes to
+    orjson when no ``[`` lies between the two.  If orjson accepts it, that
+    ``]`` closes the array: one inside a string would leave the string
+    unterminated.  orjson's list is kept when every item is a number (bools
+    included) and their root sum of squares is below 2**62; ``math.hypot``
+    raises ``TypeError`` on any other item.  Everything else is read by
+    ``JSONArray``."""
     text, end = s_and_end
-    flat = _NUMBER_ARRAY.match(text, end)
-    if flat:
+    close = text.find("]", end) + 1  # just past the first "]"; 0 when there is none
+    if close and text.find("[", end, close) < 0:
         try:
-            values = orjson.loads(text[end - 1:flat.end()])
-        except orjson.JSONDecodeError:  # also 1E400, which json reads as inf
+            values = orjson.loads(text[end - 1:close])  # refuses 1E400, which json reads as inf
+            if math.hypot(*values) < _HYPOT_BOUND:
+                return values, close
+        except (orjson.JSONDecodeError, TypeError):
             pass
-        else:
-            if not values or (-_INT64 < min(values) and max(values) < _INT64):
-                return values, flat.end()
     return json.decoder.JSONArray(s_and_end, scan_once)
 
 
 def _loads(text: str):
-    """What ``json.loads(text)`` returns or raises.  Anything the fast
-    reader refuses, or nests deeper than Python's scanner can, is handed to
-    ``json.loads`` itself, so its errors and edge cases are json's own."""
-    decoder = json.JSONDecoder()
-    decoder.parse_array = _parse_array
-    decoder.scan_once = json.scanner.py_make_scanner(decoder)  # C's ignores parse_array
-    try:
-        return decoder.decode(text)
-    except (ValueError, RecursionError):
-        return json.loads(text)
+    """What ``json.loads(text)`` returns or raises.  Inner arrays are read
+    by :func:`_parse_array`, the rest by Python's own scanner.  A text that
+    is not all ASCII goes to ``json.loads`` itself, because that scanner
+    reads any Unicode digit as a digit; so does anything the fast reader
+    refuses or nests deeper than Python's scanner can, so errors and edge
+    cases are json's own."""
+    if text.isascii():
+        decoder = json.JSONDecoder()
+        decoder.parse_array = _parse_array
+        decoder.scan_once = json.scanner.py_make_scanner(decoder)  # C's ignores parse_array
+        try:
+            return decoder.decode(text)
+        except (ValueError, RecursionError):
+            pass
+    return json.loads(text)
 
 
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         data = _loads(text)

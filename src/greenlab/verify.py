@@ -188,8 +188,8 @@ def check_norm_equivalence(kernel: Kernel, omega: Measure, p: float, r: float,
                          p=p, r=r, samples=samples, seed=seed)
     if h is None:
         h = resolve_h(kernel)
+    op, w, g_omega = _self_operator(kernel, omega, p, r)  # checks (p, r) first
     expo = p * r / (p - r)
-    op, w, g_omega = _self_operator(kernel, omega, p, r)
     energy = power_integral(g_omega, expo, w)
     c_lower = max_norm_ratio(op, w, g_omega, p, r, samples, seed)
     s_exp = r / (p - r)

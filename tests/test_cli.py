@@ -235,6 +235,15 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent/problem.json"]) == 2
 
+    def test_undecodable_file_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "codec can't decode byte 0xff" in err
+
     def test_nonconvergence_exits_one(self, tmp_path):
         problem = {
             "kernel": {"variant": "riesz", "alpha": 1.0, "dim": 3},
@@ -744,6 +753,11 @@ class TestExponents:
      "bad manifest entry 'iterated': 's' must be finite, got inf"),
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "p": math.inf}]},
      "bad manifest entry 'equivalence': 'p' must be finite, got inf"),
+    # equal exponents: refused before p*r/(p-r) divides by zero
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "p": 1.5}]},
+     "bad manifest entry 'equivalence': r must lie in (0, p)"),
+    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "r": 3.0}]},
+     "bad manifest entry 'equivalence': r must lie in (0, p)"),
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["hls"], "beta": math.inf}]},
      "bad manifest entry 'hls': 'beta' must be finite, got inf"),
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["relation_chain"], "gamma": math.inf}]},
@@ -771,7 +785,8 @@ class TestExponents:
         "verify-negative-h-relation-chain", "solve-string-alpha", "solve-string-q",
         "energy-string-gamma", "verify-string-s", "solve-bool-declared-h", "solve-bool-h",
         "verify-bool-s", "verify-no-kernel", "verify-unknown-kind", "solve-infinite-gamma",
-        "solve-infinite-h", "verify-infinite-s", "verify-infinite-p", "verify-infinite-beta",
+        "solve-infinite-h", "verify-infinite-s", "verify-infinite-p",
+        "verify-equivalence-p-equals-r", "verify-equivalence-r-equals-p", "verify-infinite-beta",
         "verify-infinite-gamma", "verify-negative-u", "verify-nan-u",
         "verify-hardy-potential-32-cells"])
 def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
@@ -893,7 +908,8 @@ def test_float_range_runs_print_no_warning(tmp_path, problem):
 FUZZ_ENERGY = {"kernel": {"variant": "interval1d"},
                "omega": {"variant": "grid", "n_cells": 4, "values": [1.0, 1.0, 1.0, 1.0]},
                "gamma": 1.0}
-FUZZ_POOL = [None, "x", [], {}, [1], -1, 0, 0.5, True, math.inf, -math.inf, math.nan]
+# 1.5 and 3.0 are the fuzz entries' r and p, so equal exponents get drawn
+FUZZ_POOL = [None, "x", [], {}, [1], -1, 0, 0.5, 1.5, 3.0, True, math.inf, -math.inf, math.nan]
 
 
 def _fuzz_paths(doc):

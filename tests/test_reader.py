@@ -85,7 +85,7 @@ def test_random_documents_read_as_json_reads_them(text):
 @settings(max_examples=400, deadline=None)
 @given(st.text(alphabet="-+.0123456789eE \t\n\r,", max_size=24))
 def test_any_text_of_number_characters_reads_as_json_reads_it(body):
-    """Every text the fast path may take: most of it malformed."""
+    """Texts over the characters of an array of numbers: most of it malformed."""
     assert_reads_as_json("[" + body + "]")
 
 
@@ -96,6 +96,9 @@ def test_any_text_of_number_characters_reads_as_json_reads_it(body):
     "[18446744073709551616, 1]",
     "[-9223372036854775809]",
     "[100000000000000000000000, 0.5]",
+    "[9223372036854775807, -9223372036854775808, 9223372036854775808]",
+    "[4611686018427387904, 0.5]",
+    "[1e308, 1.7e308]",
     "[NaN, 1]",
     "[Infinity, -Infinity]",
     "[]",
@@ -113,6 +116,25 @@ def test_any_text_of_number_characters_reads_as_json_reads_it(body):
     "",
     "[1] x",
     "[1" + "0" * 5000 + "]",
+    # orjson reads these slices too: every item must be a number or a bool
+    "[true, false, 1]",
+    "[null]",
+    "[null, 1]",
+    '["a", "b"]',
+    '[{"a": 1}]',
+    "[{}]",
+    # a "]" or "[" inside a string
+    '["]"]',
+    '[1, "x]", 2]',
+    '["[", 1]',
+    # no "]" after the "[", or a "[" before it
+    "[1, 2",
+    "[ ]",
+    "[[1, 2], [], [3.5]]",
+    # Python's scanner reads any Unicode digit as a digit, json's does not
+    '{"a": 1\u0663}',
+    "[1\u0663]",
+    '["\u00e9", 1.5]',
 ])
 def test_edge_cases_read_as_json_reads_them(text):
     assert_reads_as_json(text)

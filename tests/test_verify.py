@@ -259,6 +259,12 @@ class TestEquivalence:
         assert rep.details["branch"] == "infinite-energy"
         assert rep.passed  # the estimated constant blows up as it must
 
+    @pytest.mark.parametrize("p, r", [(1.5, 1.5), (3.0, 3.0), (2.0, 2.5)])
+    def test_r_not_below_p_is_refused(self, p, r):
+        # before the energy exponent p*r/(p-r) divides by zero
+        with pytest.raises(ValueError, match=r"r must lie in \(0, p\)"):
+            check_norm_equivalence(K22, OM22, p, r, h=1.0)
+
 
 class TestRelationLemma:
     def scalar_instance(self, q, gamma):
