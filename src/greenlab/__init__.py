@@ -25,6 +25,7 @@ from .verify import (
     check_hls_condition,
     check_iterated,
     check_lower_bound,
+    check_norm_constant,
     check_relation_chain,
     estimate_norm_constant,
     exponent_table,
@@ -36,7 +37,7 @@ __all__ = [
     "EnergyReport", "Field", "Kernel", "Measure", "Problem", "SolveReport",
     "VerifyReport", "a_priori_check", "check_conditions",
     "check_norm_equivalence", "check_hardy", "check_hls_condition",
-    "check_iterated", "check_lower_bound", "check_relation_chain",
+    "check_iterated", "check_lower_bound", "check_norm_constant", "check_relation_chain",
     "cross_energy", "domain_sites", "estimate_norm_constant",
     "estimate_quasi_symmetry", "estimate_wmp_constant", "exponent_table",
     "gradient_energy", "green_energy", "ibp_check",

@@ -26,11 +26,10 @@ from . import verify as verify_mod
 from .energy import green_energy, ibp_check
 from .extreal import integer, real
 from .kernels import INTERVAL, Kernel, resolve_h
-from .measures import GRID, Field, Measure
-from .potentials import green_operator
+from .measures import GRID, Measure
 from .serialize import dumps, echo, write_csv, write_field_csv
-from .solver import (DEFAULT_MAX_ITER, DEFAULT_TOL_ATOMIC, HISTORY_COLUMNS, Problem,
-                     a_priori_check, minimality_probe, solve)
+from .solver import (DEFAULT_MAX_ITER, HISTORY_COLUMNS, Problem, a_priori_check,
+                     minimality_probe, solve)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -183,96 +182,59 @@ def _cmd_energy(args) -> int:
     return EXIT_OK
 
 
-def _probe_args(entry: dict, seed: int) -> dict:
-    """The random densities of a norm-constant probe: ``samples`` >= 0
-    (0 probes the structured densities only) and an integer ``seed``."""
-    return {"samples": integer(entry.get("samples", verify_mod.NORM_SAMPLES), "'samples'",
-                               least=0),
-            "seed": integer(entry.get("seed", seed), "'seed'")}
+# the reader of each manifest field: its value and its quoted name in,
+# what the check takes out; "n", "u" and "phi" are checked where they are used
+_READERS = {
+    "kernel": lambda value, name: Kernel.from_dict(value),
+    **dict.fromkeys(("omega", "sigma", "mu"), lambda value, name: Measure.from_dict(value)),
+    **dict.fromkeys(("s", "q", "p", "r", "gamma", "alpha", "beta"),
+                    lambda value, name: real(value, name)),
+    "h": lambda value, name: real(value, name, least=1),
+    "samples": lambda value, name: integer(value, name, least=0),
+    "seed": lambda value, name: integer(value, name),
+    **dict.fromkeys(("n", "u", "phi"), lambda value, name: value),
+}
 
+# the optional fields: what an entry that leaves one out gets, from the
+# fields read before it and --seed; None leaves the check's own default
+_ABSENT = {
+    "h": lambda read, seed: resolve_h(read["kernel"]),  # once: on a matrix it is a WMP scan
+    "u": lambda read, seed: None,  # check_lower_bound solves for it
+    "seed": lambda read, seed: seed,
+    "samples": None,
+    "phi": None,
+}
 
-_CHECK_KINDS = ("iterated", "lower_bound", "norm_constant", "equivalence", "relation_chain",
-                "hls", "hardy")
+# each check kind: the verify function it runs, by name so that a wrapper
+# patched onto the module sees the call, and the fields it reads, in order
+_CHECKS = {
+    "iterated": ("check_iterated", ("kernel", "omega", "s", "h")),
+    "lower_bound": ("check_lower_bound", ("kernel", "omega", "q", "u", "h")),
+    "norm_constant": ("check_norm_constant", ("kernel", "omega", "p", "r", "samples", "seed")),
+    "equivalence": ("check_norm_equivalence",
+                    ("kernel", "omega", "p", "r", "samples", "seed", "h")),
+    "relation_chain": ("check_relation_chain", ("kernel", "sigma", "mu", "q", "gamma", "h")),
+    "hls": ("check_hls_condition", ("alpha", "n", "beta", "omega")),
+    "hardy": ("check_hardy", ("kernel", "omega", "phi")),
+}
 
 
 def _manifest_check(entry: dict, seed: int):
     kind = entry.get("check")
     if kind is None:
         raise InputError("manifest entry without a 'check' field")
-    if kind not in _CHECK_KINDS:
+    if not isinstance(kind, str) or kind not in _CHECKS:
         raise InputError(f"unknown check kind {kind!r}")
-    if kind != "hls" and "kernel" not in entry:
-        raise InputError(f"check {kind!r} needs a 'kernel'")
-    kernel = Kernel.from_dict(entry["kernel"]) if "kernel" in entry else None
-
-    def measure(key):
-        if key not in entry:
-            raise InputError(f"check {kind!r} needs a {key!r} measure")
-        return Measure.from_dict(entry[key])
-
-    def number(key):
-        return real(entry[key], repr(key))
-
-    def need_h():
-        return real(entry["h"], "'h'", least=1) if "h" in entry else resolve_h(kernel)
-
-    if kind == "iterated":
-        return verify_mod.check_iterated(kernel, measure("omega"), number("s"), need_h())
-    if kind == "lower_bound":
-        omega = measure("omega")
-        q = number("q")
-        h = need_h()  # once: on a matrix kernel it is the 64-probe WMP scan
-        if "u" in entry:
-            u = Field(omega, entry["u"])
-        else:
-            problem = Problem(kernel=kernel, sigma=omega, q=q, h=h)
-            # solved below the hypothesis slack of 1e-9: the monotone iterate
-            # is a sub-solution, short of u >= G(u^q d omega) by about tol
-            report = solve(problem, tol=DEFAULT_TOL_ATOMIC)
-            if not report.converged:  # its last iterate is no sub-solution to check
-                return verify_mod.VerifyReport(
-                    "lower_bound",
-                    verify_mod._digest_inputs(check="lower_bound", kernel=kernel, omega=omega,
-                                              q=q, h=h),
-                    0.0, 0.0, 0.0, False, 0.0,
-                    {"status": "solve-failed", "diagnostic": report.diagnostic})
-            u = report.u_on_sigma()
-        return verify_mod.check_lower_bound(kernel, omega, q, u, h)
-    if kind == "norm_constant":
-        inputs = dict(kernel=kernel, omega=measure("omega"), p=number("p"), r=number("r"),
-                      **_probe_args(entry, seed))
-        c = verify_mod.estimate_norm_constant(**inputs)
-        return verify_mod.VerifyReport(
-            "norm_constant", verify_mod._digest_inputs(check="norm_constant", **inputs),
-            c, c, c, True, 0.0, {"status": "estimated", "seed": inputs["seed"]})
-    if kind == "equivalence":
-        return verify_mod.check_norm_equivalence(
-            kernel, measure("omega"), number("p"), number("r"),
-            **_probe_args(entry, seed), h=need_h())
-    if kind == "relation_chain":
-        return verify_mod.check_relation_chain(
-            kernel, measure("sigma"), measure("mu"), number("q"), number("gamma"), need_h())
-    if kind == "hls":
-        return verify_mod.check_hls_condition(
-            number("alpha"), entry["n"], number("beta"), measure("omega"))
-    # hardy
-    omega = measure("omega")
-    u = Field(omega, green_operator(kernel, omega.midpoints, omega)())
-    phi_spec = entry.get("phi", "sin_pi")
-    if phi_spec == "sin_pi":
-        phi = Field(omega, np.sin(np.pi * omega.midpoints))
-    elif phi_spec == "potential":
-        phi = Field(omega, u.values.copy())
-    else:
-        phi_spec = phi = Field(omega, phi_spec)  # a digest names it by its values
-    ratios = verify_mod.check_hardy(u, omega, phi)
-    ok = (ratios["zero_denominator"]
-          or (ratios["ratio_a"] < float("inf") and ratios["ratio_b"] < float("inf")))
-    return verify_mod.VerifyReport(
-        "hardy",
-        verify_mod._digest_inputs(check="hardy", kernel=kernel, omega=omega, phi=phi_spec),
-        ratios["ratio_a"], ratios["ratio_b"], 0.0, bool(ok), 0.0,
-        {"status": "checked", **ratios})
+    check, fields = _CHECKS[kind]
+    read = {}
+    for name in fields:
+        if name in entry:
+            read[name] = _READERS[name](entry[name], repr(name))
+        elif name not in _ABSENT:
+            raise InputError(f"check {kind!r} needs a {name!r}")
+        elif _ABSENT[name]:
+            read[name] = _ABSENT[name](read, seed)
+    return getattr(verify_mod, check)(**read)
 
 
 def _cmd_verify(args) -> int:

@@ -84,7 +84,7 @@ class Problem:
         return cls(
             kernel=Kernel.from_dict(data["kernel"]),
             sigma=Measure.from_dict(data["sigma"]),
-            mu=Measure.from_dict(mu) if mu else None,
+            mu=None if mu is None else Measure.from_dict(mu),
             q=data["q"],
             gamma=data.get("gamma", 1.0),
             h=data.get("h"),

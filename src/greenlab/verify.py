@@ -26,8 +26,9 @@ from .extreal import TINY, ext_power, integer, weighted_sum
 from .kernels import Kernel, distance_powers, resolve_h, resolve_quasi_symmetry
 from .measures import GRID, Field, Measure, power_integral, total_mass
 from .potentials import (domain_sites, green_operator, lattice_column, max_norm_ratio,
-                         toeplitz_operator)
+                         potential, toeplitz_operator)
 from .serialize import digest
+from .solver import DEFAULT_TOL_ATOMIC, Problem, solve
 
 REL_TOL_ATOMIC = 1e-12
 REL_TOL_CHAIN = 1e-9
@@ -66,17 +67,31 @@ def _le(lhs, rhs, rel: float) -> np.ndarray:
     return both_inf | (lhs <= rhs * (1.0 + rel) + TINY)
 
 
-def check_lower_bound(kernel: Kernel, omega: Measure, q: float, u: Field,
-                      h: float) -> VerifyReport:
+def check_lower_bound(kernel: Kernel, omega: Measure, q: float, u, h: float) -> VerifyReport:
     """Pointwise bound u >= (1-q)^(1/(1-q)) h^(-q/(1-q)) (G omega)^(1/(1-q)).
 
-    u must be >= 0 and not NaN at every site (+inf is allowed).  The
-    hypothesis u >= G(u^q d omega) is checked first (within 1e-9); if it
-    fails the report carries status "hypothesis-fail" instead of a verdict
-    on the conclusion.
+    u is a Field, its values on omega's support, or None for the
+    homogeneous solution with sigma = omega.  u must be >= 0 and not NaN at
+    every site (+inf is allowed).  The hypothesis u >= G(u^q d omega) is
+    checked first (within 1e-9); if it fails the report carries status
+    "hypothesis-fail" instead of a verdict on the conclusion.  A solve that
+    does not converge reports status "solve-failed" with its diagnostic.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
+    if u is None:
+        # solved below the hypothesis slack of 1e-9: the monotone iterate
+        # is a sub-solution, short of u >= G(u^q d omega) by about tol
+        report = solve(Problem(kernel=kernel, sigma=omega, q=q, h=h), tol=DEFAULT_TOL_ATOMIC)
+        if not report.converged:  # its last iterate is no sub-solution to check
+            return VerifyReport(
+                "lower_bound", _digest_inputs(check="lower_bound", kernel=kernel, omega=omega,
+                                              q=q, h=h),
+                0.0, 0.0, 0.0, False, 0.0,
+                {"status": "solve-failed", "diagnostic": report.diagnostic})
+        u = report.u_on_sigma()
+    elif not isinstance(u, Field):
+        u = Field(omega, u)
     if not np.all(u.values >= 0.0):
         raise ValueError("u must be >= 0 and not NaN at every site")
     dig = _digest_inputs(check="lower_bound", kernel=kernel, omega=omega, q=q,
@@ -170,6 +185,17 @@ def estimate_norm_constant(kernel: Kernel, omega: Measure, p: float, r: float,
     theory-motivated test function.
     """
     return max_norm_ratio(*_self_operator(kernel, omega, p, r), p, r, samples, seed)
+
+
+def check_norm_constant(kernel: Kernel, omega: Measure, p: float, r: float,
+                        samples: int = NORM_SAMPLES, seed: int = 0) -> VerifyReport:
+    """:func:`estimate_norm_constant` as a report: lhs, rhs and the
+    constant are the estimate, which passes, as an estimate makes no claim."""
+    dig = _digest_inputs(check="norm_constant", kernel=kernel, omega=omega, p=p, r=r,
+                         samples=samples, seed=seed)
+    c = estimate_norm_constant(kernel, omega, p, r, samples, seed)
+    return VerifyReport("norm_constant", dig, c, c, c, True, 0.0,
+                        {"status": "estimated", "seed": seed})
 
 
 def check_norm_equivalence(kernel: Kernel, omega: Measure, p: float, r: float,
@@ -298,39 +324,45 @@ def check_relation_chain(kernel: Kernel, sigma: Measure, mu: Measure, q: float,
                          "I_sigma": i_sigma, "I_mu": i_mu, "I_cross": i_cross})
 
 
-def check_hardy(u: Field, omega: Measure, phi: Field) -> dict:
-    """Hardy-type quotients for a grid potential u = G omega.
+def check_hardy(kernel: Kernel, omega: Measure, phi="sin_pi") -> VerifyReport:
+    """Hardy-type quotients for the grid potential u = G omega.
 
-    Returns the two left-hand integrals divided by the Dirichlet integral
-    of phi.  The comparison constant is not specified by the theory, so
-    the harness only asserts finiteness and refinement stability; phi must
-    vanish at the interval's endpoints (checked against the first and last
-    cells, with slack for midpoint sampling).
+    phi is "sin_pi" (sin(pi x)), "potential" (u itself) or its values on
+    omega's cells.  lhs and rhs are the two left-hand integrals divided by
+    the Dirichlet integral of phi (0 when that integral is 0, flagged
+    "zero_denominator").  The comparison constant is not specified by the
+    theory, so the check passes when both are finite; refinement stability
+    is for the caller to compare.  phi must vanish at the interval's
+    endpoints (checked against the first and last cells, with slack for
+    midpoint sampling).
     """
-    m = omega
-    if m.variant != GRID or u.measure_ref is None or u.measure_ref.variant != GRID:
+    if omega.variant != GRID:
         raise ValueError("hardy quotients need grid-sampled inputs")
-    if phi.measure_ref is None or phi.measure_ref.size != m.size:
-        raise ValueError("phi must be sampled on the same grid")
-    n = m.n_cells
-    width = m.cell_width
-    phi_scale = float(np.max(np.abs(phi.values), initial=0.0))
+    u = potential(kernel, omega).values
+    if isinstance(phi, str) and phi in ("sin_pi", "potential"):
+        phi_values = np.sin(np.pi * omega.midpoints) if phi == "sin_pi" else u
+    else:
+        phi = Field(omega, phi)  # a digest names it by its values
+        phi_values = phi.values
+    dig = _digest_inputs(check="hardy", kernel=kernel, omega=omega, phi=phi)
+    n = omega.n_cells
+    width = omega.cell_width
+    phi_scale = float(np.max(np.abs(phi_values), initial=0.0))
     if phi_scale > 0.0:
-        edge = max(abs(phi.values[0]), abs(phi.values[-1]))
+        edge = max(abs(phi_values[0]), abs(phi_values[-1]))
         if edge > 0.05 * phi_scale:
             raise ValueError("phi must vanish at both endpoints of (0, 1)")
-    du = grid_derivative(u.values, n)
-    dphi = grid_derivative(phi.values, n)
+    du = grid_derivative(u, n)
+    dphi = grid_derivative(phi_values, n)
     den = float(np.sum(dphi ** 2) * width)
-    pos = u.values > 0.0
-    lhs_a = float(np.sum(phi.values[pos] ** 2 * (du[pos] / u.values[pos]) ** 2) * width)
-    lhs_b = float(np.sum(phi.values[pos] ** 2
-                         * m.integration_weights[pos] / u.values[pos]))
-    if den == 0.0:
-        return {"ratio_a": 0.0, "ratio_b": 0.0, "zero_denominator": True,
-                "dirichlet": 0.0}
-    return {"ratio_a": lhs_a / den, "ratio_b": lhs_b / den,
-            "zero_denominator": False, "dirichlet": den}
+    pos = u > 0.0
+    lhs_a = float(np.sum(phi_values[pos] ** 2 * (du[pos] / u[pos]) ** 2) * width)
+    lhs_b = float(np.sum(phi_values[pos] ** 2 * omega.integration_weights[pos] / u[pos]))
+    ratio_a, ratio_b = (lhs_a / den, lhs_b / den) if den != 0.0 else (0.0, 0.0)
+    return VerifyReport("hardy", dig, ratio_a, ratio_b, 0.0,
+                        bool(ratio_a < np.inf and ratio_b < np.inf), 0.0,
+                        {"status": "checked", "ratio_a": ratio_a, "ratio_b": ratio_b,
+                         "zero_denominator": den == 0.0, "dirichlet": den})
 
 
 def exponent_table(n: int, p: float, q: float) -> dict:

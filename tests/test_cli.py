@@ -244,6 +244,14 @@ class TestSolve:
         assert err.startswith(f"error: cannot read {path}: ")
         assert "codec can't decode byte 0xff" in err
 
+    @pytest.mark.parametrize("mu", [{}, [], 0, False, ""],
+                             ids=["object", "list", "zero", "false", "string"])
+    def test_a_falsy_mu_is_not_read_as_none(self, tmp_path, capsys, mu):
+        # only an absent or null mu is no mu; any other value is a measure or exits 2
+        assert main(["solve", write(tmp_path, "p.json", {**GOLDEN_PROBLEM, "mu": mu})]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "measure" in err
+
     def test_nonconvergence_exits_one(self, tmp_path):
         problem = {
             "kernel": {"variant": "riesz", "alpha": 1.0, "dim": 3},
@@ -456,6 +464,36 @@ class TestVerify:
             "PASS  iterated        digest=deaa26228fc7  margin=0.461",
             "PASS  relation_chain  digest=9da0c0106f27  margin=0.104"]
 
+    def test_every_kind_report_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # every check kind: lower_bound on a given u, solved on a grid and on
+        # a matrix, and a failed Riesz-atom solve; norm_constant with and
+        # without a seed; equivalence with and without h; hardy on each kind
+        # of phi; one iterated, relation_chain and hls entry
+        monkeypatch.chdir(tmp_path)
+        name = "verify_kinds.manifest.json"
+        (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["verify", name, "--seed", "3", "--out", "r.json"]) == 1
+        got = strip_timestamp((tmp_path / "r.json").read_text()).encode()
+        assert got == (GOLDEN_DIR / "verify_kinds.json").read_bytes()
+        assert err.getvalue().splitlines() == [
+            "PASS  lower_bound       digest=1ce80252a253  margin=27",
+            "PASS  lower_bound       digest=753a5d6f1b51  margin=0.00415",
+            "PASS  lower_bound       digest=7d39c022fb85  margin=1.38",
+            "FAIL  lower_bound       digest=c502a3e656bd  margin=0",
+            "PASS  norm_constant     digest=7c113573f9af  margin=0",
+            "PASS  norm_constant     digest=db7f5fb49985  margin=0",
+            "PASS  norm_equivalence  digest=8a4e39f475e1  margin=0.0691",
+            "PASS  norm_equivalence  digest=36e3666664f1  margin=1.89",
+            "PASS  hardy             digest=2cf2e24c8b42  margin=0",
+            "PASS  hardy             digest=6376bb2e4911  margin=0",
+            "PASS  hardy             digest=9c51d6185df0  margin=0",
+            "PASS  hardy             digest=1e581bc194c4  margin=0",
+            "PASS  iterated          digest=7fc2d1b1a989  margin=0.894",
+            "PASS  relation_chain    digest=06e4fc3c094d  margin=0.144",
+            "PASS  hls               digest=51b27c766170  margin=0.143"]
+
     def test_deterministic_modulo_timestamp(self, tmp_path):
         inp = write(tmp_path, "m.json", self.manifest())
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
@@ -599,6 +637,45 @@ class TestVerify:
             assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
             reports.append(load_report(out)["reports"][0])
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("hls", {"kernel": {"variant": "bogus"}}),
+        ("hardy", {"s": "junk"}),
+    ], ids=["hls-kernel", "hardy-s"])
+    def test_a_check_reads_only_its_own_fields(self, tmp_path, kind, extra):
+        # a field the kind does not take is not read, however malformed
+        reports = []
+        for entry in (FUZZ_MANIFEST_ENTRIES[kind], {**FUZZ_MANIFEST_ENTRIES[kind], **extra}):
+            out = str(tmp_path / "r.json")
+            assert main(["verify", write(tmp_path, "m.json", {"checks": [entry]}),
+                         "--out", out]) == 0
+            reports.append(load_report(out)["reports"][0])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind, field) for kind, fields in {
+            "iterated": ("kernel", "omega", "s"),
+            "lower_bound": ("kernel", "omega", "q"),
+            "norm_constant": ("kernel", "omega", "p", "r"),
+            "equivalence": ("kernel", "omega", "p", "r"),
+            "relation_chain": ("kernel", "sigma", "mu", "q", "gamma"),
+            "hls": ("alpha", "n", "beta", "omega"),
+            "hardy": ("kernel", "omega"),
+        }.items() for field in fields])
+    def test_a_missing_field_is_named(self, tmp_path, capsys, kind, field):
+        entry = {key: value for key, value in FUZZ_MANIFEST_ENTRIES[kind].items() if key != field}
+        assert main(["verify", write(tmp_path, "m.json", {"checks": [entry]})]) == 2
+        assert capsys.readouterr().err == f"error: check {kind!r} needs a {field!r}\n"
+
+    def test_lower_bound_null_u_is_no_u(self, tmp_path):
+        # as for a problem's mu, only an absent or null u means none
+        reports = []
+        for extra in ({}, {"u": None}):
+            out = str(tmp_path / "r.json")
+            manifest = {"checks": [{**LOWER_BOUND_GRID_ENTRY, **extra}]}
+            assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
+            reports.append(load_report(out)["reports"][0])
+        assert reports[0] == reports[1]
 
     def test_lower_bound_solved_below_hypothesis_slack(self, tmp_path):
         # the solve behind the check must land within the 1e-9 slack of
