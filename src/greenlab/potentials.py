@@ -44,13 +44,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .extreal import ext_power, gram_product, masked_mul, row_blocks
+from .extreal import INF, ext_power, gram_product, masked_mul, row_blocks
 from .kernels import INTERVAL, MATRIX, RIESZ, Kernel
 from .measures import GRID, Field, Measure, power_integral
 
 Targets = Union[Measure, np.ndarray, list, None]
 
 _SUBDIV = 16  # singular-cell refinement for Riesz-on-grid
+BOYD_STEPS = 8  # most power steps in the norm-constant probe
+BOYD_RISE = 1e-12  # a step whose ratio rises by less ends the iterates
 
 
 def _check_compat(kernel: Kernel, omega: Measure) -> None:
@@ -103,21 +105,26 @@ def _interval_operator(kernel: Kernel, target_sites, omega: Measure):
     For a target t, sources s <= t contribute s (1 - t) v and sources
     s > t contribute t (1 - s) v.  The right-hand sum is a reversed
     cumsum, not total minus prefix, so a +inf weight cannot make inf - inf.
+    Sorted sources are not permuted; targets that are the sorted sources
+    (every grid) read the sums in place.
     """
     t = kernel._as_sites(target_sites)
     s = kernel._as_sites(omega.support_sites)
     order = np.argsort(s, kind="stable")
     s = s[order]
     k = np.searchsorted(s, t, side="right")  # sources at or left of each target
+    permute = not np.array_equal(order, np.arange(len(s)))
+    at = slice(1, None) if np.array_equal(k, np.arange(1, len(s) + 1)) else k
 
     def apply(v: np.ndarray) -> np.ndarray:
-        v = np.take(v, order, axis=-1)
+        if permute:
+            v = np.take(v, order, axis=-1)
         zero = np.zeros(v.shape[:-1] + (1,))
         with np.errstate(over="ignore"):  # past the float range a sum is +inf
             left = np.concatenate((zero, np.cumsum(s * v, axis=-1)), axis=-1)
             right = np.concatenate(
                 (np.cumsum(((1.0 - s) * v)[..., ::-1], axis=-1)[..., ::-1], zero), axis=-1)
-            return (1.0 - t) * np.take(left, k, axis=-1) + t * np.take(right, k, axis=-1)
+            return (1.0 - t) * left[..., at] + t * right[..., at]
 
     return apply
 
@@ -231,37 +238,63 @@ def green_operator(kernel: Kernel, target_sites, omega: Measure):
 def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float,
                    samples: int, seed: int) -> float:
     """Largest ||G(f d omega)||_r / ||f||_p over the densities f = (G omega)^t
-    on a small exponent grid plus ``samples`` uniform(0,1] random ones, given
-    omega's operator on its own sites, its weights and G omega there.
+    on a small exponent grid, Boyd's power iterates from the last of them
+    and ``samples`` uniform(0,1] random ones, given omega's operator on its
+    own sites, its weights and G omega there.
 
-    ``apply`` takes a stack of densities, one per row.  They go through it
-    in blocks of ``row_blocks(count, 16 N)`` rows: an apply holds several
-    arrays of a block's size, and at about 2**14 entries (128 KB) each
-    stays in cache and under malloc's default mmap threshold, where
-    2**16-entry blocks spent their gain on page faults.  A block of random
-    densities is drawn as one (k, N) array, the same stream as k draws of
-    N.  Every row keeps the bits of its own 1-d apply and integrals, so the
-    blocks change no bit of the result.
+    Boyd's step f <- (A((A f)^(r-1)))^(1/(p-1)) (Linear Algebra Appl. 9,
+    1974; Higham, Numer. Math. 62, 1992), scaled by a power of two, takes
+    two applies, as A f carries over; it stops after ``BOYD_STEPS`` steps
+    or when a ratio rises by less than ``BOYD_RISE`` relative.  For a
+    symmetric kernel A is self-adjoint in L^2(omega) and a fixed point is
+    a critical point of the ratio; for any kernel, and for r < 1, every
+    iterate is a realized ratio, so the maximum stays a lower bound on C.
+
+    ``apply`` takes a stack of densities, one per row; a Boyd iterate is a
+    stack of one, the others go in blocks of ``row_blocks(count, 16 N)``
+    rows: an apply holds several arrays of a block's size, and at about
+    2**14 entries (128 KB) each stays in cache and under malloc's default
+    mmap threshold, where 2**16-entry blocks spent their gain on page
+    faults.  A block of random densities is drawn as one (k, N) array, the
+    same stream as k draws of N.  Every row keeps the bits of its own 1-d
+    apply and integrals, so the blocks change no bit of the result.
     """
     n = len(w)
 
-    def block_max(f: np.ndarray) -> float:
-        """The largest ratio over the rows of f, or 0.  A row whose
-        ||f||_p is 0 or NaN, whose norms are both +inf, or whose ratio is
-        NaN does not count; a ratio past the float range is +inf."""
+    def ratios(f: np.ndarray, af: np.ndarray) -> np.ndarray:
+        """The ratio of each row of f, given af = apply(f), or 0.  A row
+        whose ||f||_p is 0 or NaN, whose norms are both +inf, or whose
+        ratio is NaN does not count; a ratio past the float range is +inf."""
         den = ext_power(power_integral(f, p, w), 1.0 / p)
-        num = ext_power(power_integral(apply(f), r, w), 1.0 / r)
+        num = ext_power(power_integral(af, r, w), 1.0 / r)
         keep = (den != 0.0) & ~np.isnan(den) & ~(np.isinf(num) & np.isinf(den))
+        out = np.zeros(len(f))
         with np.errstate(over="ignore"):
-            ratio = num[keep] / den[keep]
-        return float(np.max(ratio, initial=0.0, where=~np.isnan(ratio)))
+            out[keep] = num[keep] / den[keep]
+        return np.where(np.isnan(out), 0.0, out)
 
-    exponents = (0.0, 0.5, 1.0, 2.0, r / (p - r))
-    best = max(block_max(np.stack([ext_power(g_omega, t) for t in exponents[rows]]))
-               for rows in row_blocks(len(exponents), 16 * n))
+    best, exponents = 0.0, (0.0, 0.5, 1.0, 2.0, r / (p - r))
+    for rows in row_blocks(len(exponents), 16 * n):
+        f = np.stack([ext_power(g_omega, t) for t in exponents[rows]])
+        af = apply(f)
+        values = ratios(f, af)
+        best = max(best, float(np.max(values)))
+    af, last = af[-1:], values[-1]  # the candidate t = r/(p-r) starts the iterates
+    for _ in range(BOYD_STEPS):
+        f = ext_power(apply(ext_power(af, r - 1.0)), 1.0 / (p - 1.0))
+        top = np.max(f)
+        if 0.0 < top < INF:  # a maximum in [1/2, 1): no drift out of the float range
+            f = np.ldexp(f, -np.frexp(top)[1])
+        af = apply(f)
+        value = ratios(f, af)[0]
+        best = max(best, float(value))
+        if not value > last * (1.0 + BOYD_RISE):
+            break
+        last = value
     rng = np.random.default_rng(seed)
     for rows in row_blocks(samples, 16 * n):
-        best = max(best, block_max(1.0 - rng.random((rows.stop - rows.start, n))))
+        f = 1.0 - rng.random((rows.stop - rows.start, n))
+        best = max(best, float(np.max(ratios(f, apply(f)))))
     return float(best)
 
 

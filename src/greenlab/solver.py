@@ -40,7 +40,6 @@ DEFAULT_MAX_ITER = 10_000
 MONOTONE_SLACK = 1e-12
 ULP_FLOOR = 4  # a sweep moving u by at most this many ulps of sup|u| has stopped
 DIVERGENCE_CAP = 1e300
-A_PRIORI_SAMPLES = 32  # random densities in the a priori norm-constant probe
 HISTORY_COLUMNS = ("iteration", "sup_change", "sup_value", "norm_sigma")  # one row per sweep
 
 
@@ -293,7 +292,8 @@ def a_priori_check(problem: Problem, report: SolveReport,
     inequality of the norm; gamma+q >= 1 forces c = 1.  ``c_est`` estimates
     the ((gamma+q)/q, gamma+q) weighted-norm constant C of sigma; if omitted,
     it is probed on the report's workspace, building no operator: sigma's
-    operator on sigma's sites, ``A_PRIORI_SAMPLES`` densities, seed 0.
+    operator on sigma's sites, the structured densities and Boyd's power
+    iterates from the last of them (``max_norm_ratio``), no random ones.
     The bound is satisfied only by a finite norm: inf <= inf proves nothing.
     ``problem`` must be ``report.problem``.
     """
@@ -305,7 +305,7 @@ def a_priori_check(problem: Problem, report: SolveReport,
     if c_est is None:
         c_est = max_norm_ratio(lambda f: np.take(ws.op_sigma(f), ws.sigma_pos, axis=-1),
                                ws.w_sigma, ws.gsigma[ws.sigma_pos], p=r_exp / p.q, r=r_exp,
-                               samples=A_PRIORI_SAMPLES, seed=0)
+                               samples=0, seed=0)
     c = max(1.0, 2.0 ** ((1.0 - r_exp) / r_exp))
     norm_u = lp_norm(report.u_on_sigma(), r_exp)
     norm_gmu = lp_norm(Field(p.sigma, ws.gmu[ws.sigma_pos]), r_exp)

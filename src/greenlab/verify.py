@@ -178,11 +178,12 @@ def estimate_norm_constant(kernel: Kernel, omega: Measure, p: float, r: float,
     """Certified lower bound on the best constant C in the (p, r) weighted
     norm inequality ||G(f d omega)||_{L^r(omega)} <= C ||f||_{L^p(omega)}.
 
-    Maximizes the ratio over ``samples`` i.i.d. uniform(0,1] random
-    densities plus structured candidates f = (G omega)^t on a small
-    exponent grid; t = r/(p-r) realizes the known lower-bound direction of
-    the energy characterization, so the estimate never falls below the
-    theory-motivated test function.
+    Maximizes the ratio over structured candidates f = (G omega)^t on a
+    small exponent grid, Boyd's power iterates started from the last of
+    them, and ``samples`` i.i.d. uniform(0,1] random densities
+    (``max_norm_ratio``); t = r/(p-r) realizes the known lower-bound
+    direction of the energy characterization, so the estimate never falls
+    below the theory-motivated test function.
     """
     return max_norm_ratio(*_self_operator(kernel, omega, p, r), p, r, samples, seed)
 

@@ -171,25 +171,41 @@ def count_fft_setups(monkeypatch) -> list:
 def norm_ratio_reference(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float,
                          samples: int, seed: int) -> float:
     """The norm-constant probe one density at a time: every density goes
-    through its own 1-d apply and power integrals, the random ones drawn
-    by ``rng.random(N)`` one after the other.  The blocked
+    through its own 1-d apply and power integrals, then Boyd's power
+    iterates from the last structured density, each step one apply of
+    (A f)^(r-1) and one of the new f, then the random densities drawn by
+    ``rng.random(N)`` one after the other.  The blocked
     ``potentials.max_norm_ratio`` must equal it bit for bit."""
     from greenlab.extreal import ext_power
     from greenlab.measures import power_integral
+    from greenlab.potentials import BOYD_RISE, BOYD_STEPS
 
-    def ratio(f: np.ndarray) -> float:
+    def ratio(f: np.ndarray):
+        """(the ratio of f or 0, A f)"""
+        af = apply(f)
         den = float(ext_power(power_integral(f, p, w), 1.0 / p))
         if den == 0.0 or np.isnan(den):
-            return 0.0
-        num = float(ext_power(power_integral(apply(f), r, w), 1.0 / r))
-        if np.isinf(num) and np.isinf(den):
-            return 0.0
-        return num / den
+            return 0.0, af
+        num = float(ext_power(power_integral(af, r, w), 1.0 / r))
+        if np.isinf(num) and np.isinf(den) or np.isnan(num):
+            return 0.0, af
+        return num / den, af
 
     best = 0.0
     for t in (0.0, 0.5, 1.0, 2.0, r / (p - r)):
-        best = max(best, ratio(ext_power(g_omega, t)))
+        last, af = ratio(ext_power(g_omega, t))
+        best = max(best, last)
+    for _ in range(BOYD_STEPS):
+        f = ext_power(apply(ext_power(af, r - 1.0)), 1.0 / (p - 1.0))
+        top = float(np.max(f))
+        if 0.0 < top < np.inf:
+            f = np.ldexp(f, -np.frexp(top)[1])
+        value, af = ratio(f)
+        best = max(best, value)
+        if not value > last * (1.0 + BOYD_RISE):
+            break
+        last = value
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        best = max(best, ratio(1.0 - rng.random(len(w))))
+        best = max(best, ratio(1.0 - rng.random(len(w)))[0])
     return float(best)

@@ -484,7 +484,7 @@ class TestVerify:
             "FAIL  lower_bound       digest=c502a3e656bd  margin=0",
             "PASS  norm_constant     digest=7c113573f9af  margin=0",
             "PASS  norm_constant     digest=db7f5fb49985  margin=0",
-            "PASS  norm_equivalence  digest=8a4e39f475e1  margin=0.0691",
+            "PASS  norm_equivalence  digest=8a4e39f475e1  margin=0.0692",
             "PASS  norm_equivalence  digest=36e3666664f1  margin=1.89",
             "PASS  hardy             digest=2cf2e24c8b42  margin=0",
             "PASS  hardy             digest=6376bb2e4911  margin=0",

@@ -10,8 +10,9 @@ from greenlab import (
     estimate_quasi_symmetry,
     estimate_wmp_constant,
     extreal,
+    kernels,
 )
-from greenlab.extreal import weighted_sum
+from greenlab.extreal import gram_product, weighted_sum
 from greenlab.kernels import distance_powers
 from tests.helpers import interval_green_oracle
 
@@ -165,6 +166,26 @@ class TestWmpConstant:
         assert estimate_wmp_constant(Kernel.matrix(G), samples=16, seed=5) == expected
         assert not masked
 
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4, 10, 64])
+    def test_stacked_wmp_scan_is_the_one_at_a_time_scan(self, monkeypatch, samples):
+        # blocks of 2^10 entries on 20 sites make stacks of B = 3 probes:
+        # the scan calls gram_product once per stack, ceil(samples / B)
+        # times, and h has the bits of the one-probe-at-a-time reference
+        n = 20
+        rng = np.random.default_rng(4)
+        G = rng.uniform(0.0, 1.0, (n, n)) * rng.uniform(0.1, 10.0, n)[:, None]
+        np.fill_diagonal(G, G.max(axis=0))
+        expected = wmp_reference(G, samples=samples, seed=2)
+        assert expected > 1.0
+        calls, product = [], kernels.gram_product
+        monkeypatch.setattr(kernels, "gram_product",
+                            lambda g, v: calls.append(len(v)) or product(g, v))
+        with mock.patch.object(extreal, "_BLOCK_ENTRIES", 2**10):
+            got = estimate_wmp_constant(Kernel.matrix(G), samples=samples, seed=2)
+        B = 2**10 // (16 * n)
+        assert got == expected and len(calls) == -(-samples // B)
+        assert calls == [min(B, samples - i) for i in range(0, samples, B)]
+
     @pytest.mark.parametrize("seed", range(30))
     def test_column_max_scan_is_the_full_quotient_scan(self, seed):
         # division by a positive diagonal entry is monotone under
@@ -221,6 +242,26 @@ def test_distance_powers_match_the_one_shot_sum(dim, entries):
             got[rows] = block
     assert got.tobytes() == ref.tobytes()
     assert np.isinf(got[np.arange(4), np.arange(4)]).all()
+
+
+@pytest.mark.parametrize("n", [2, 7, 600])
+def test_stacked_product_of_the_gram_view_is_the_copied_gram_product(n):
+    # on every site in order the gram is a read-only view of the values;
+    # a subset or another order is a copy.  Products with the view have
+    # the copied gram's bits, stacked or not, zeros and +inf in the density
+    rng = np.random.default_rng(n)
+    kernel = Kernel.matrix(rng.uniform(0.0, 2.0, (n, n)))
+    every = np.arange(n)
+    view = kernel.gram(every, every)
+    assert np.shares_memory(view, kernel.values) and not view.flags.writeable
+    for t, s in ((every[::-1], every), (every, every[:-1])):
+        assert not np.shares_memory(kernel.gram(t, s), kernel.values)
+    copy = kernel.values[np.ix_(every, every)]
+    V = rng.uniform(0.0, 3.0, (3, n))
+    V[rng.random((3, n)) < 0.3] = 0.0
+    V[rng.random((3, n)) < 0.05] = np.inf
+    for v in (V, V[0]):
+        assert gram_product(view, v).tobytes() == gram_product(copy, v).tobytes()
 
 
 def test_json_round_trip():

@@ -13,8 +13,8 @@ from greenlab import Kernel, Measure, domain_sites, iterated_potential, potentia
 from greenlab import extreal
 from greenlab.extreal import masked_mul, row_blocks, weighted_sum
 from greenlab.measures import power_integral
-from greenlab.potentials import (green_operator, lattice_column, quadrature_gram,
-                                 toeplitz_operator)
+from greenlab.potentials import (_interval_operator, green_operator, lattice_column,
+                                 quadrature_gram, toeplitz_operator)
 from tests.helpers import interval_green_oracle, random_green_matrix, random_weights
 
 
@@ -487,6 +487,48 @@ def test_interval_operator_matches_the_dense_masked_product(kind, n, seed, with_
         assert np.array_equal(np.isinf(got), np.isinf(ref))
         fin = np.isfinite(ref)
         assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-12 * ref[fin])
+
+
+def _gathered_interval_apply(sources, targets, v):
+    """The prefix-sum apply with every gather made: the density permuted
+    into source order, both sums read at each target by np.take."""
+    order = np.argsort(sources, kind="stable")
+    s = sources[order]
+    k = np.searchsorted(s, targets, side="right")
+    v = np.take(v, order, axis=-1)
+    zero = np.zeros(v.shape[:-1] + (1,))
+    with np.errstate(over="ignore"):
+        left = np.concatenate((zero, np.cumsum(s * v, axis=-1)), axis=-1)
+        right = np.concatenate(
+            (np.cumsum(((1.0 - s) * v)[..., ::-1], axis=-1)[..., ::-1], zero), axis=-1)
+        return (1.0 - targets) * np.take(left, k, axis=-1) \
+            + targets * np.take(right, k, axis=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["grid", "sorted_atoms", "atoms", "grid_other_targets"]),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**31),
+       st.integers(min_value=1, max_value=4))
+def test_stacked_interval_apply_without_gathers_is_the_gathered_apply(kind, n, seed, rows):
+    # grids and sorted atoms at their own sites read the prefix sums in
+    # place and permute nothing; unsorted atoms and other targets gather.
+    # Every path gives the bits of the apply that gathers, stacked or not,
+    # with zeros and +inf in the density
+    rng = np.random.default_rng(seed)
+    if kind.startswith("grid"):
+        sources = Measure.grid(n, np.ones(n)).midpoints
+    else:
+        sources = rng.uniform(0.001, 0.999, n)
+        if kind == "sorted_atoms":
+            sources = np.sort(sources)
+    targets = sources if kind != "grid_other_targets" else rng.uniform(0.001, 0.999, n)
+    omega = Measure.atomic(sources, np.ones(n))
+    apply = _interval_operator(Kernel.interval1d(), targets, omega)
+    V = rng.uniform(0.0, 3.0, (rows, n))
+    V[rng.random((rows, n)) < 0.3] = 0.0
+    V[rng.random((rows, n)) < 0.05] = np.inf
+    for v in (V, V[0]):
+        assert apply(v).tobytes() == _gathered_interval_apply(sources, targets, v).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

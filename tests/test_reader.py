@@ -157,6 +157,40 @@ def test_doubles_read_bit_for_bit():
         assert [x.hex() for x in _loads(text)] == want
 
 
+@pytest.mark.parametrize("text", [
+    # past the hypot bound: floats of every size, kept from orjson
+    "[" + ",".join(repr(10.0 ** e) for e in range(17, 301)) + "]",
+    "[" + ",".join(repr(-1.5 * 10.0 ** e) for e in range(17, 301, 7)) + ", 3]",
+    "[1e17, 1E300, 12345678901234567890.5, 1234567890123456789e2, 0.1234567890123456789]",
+    # integers of 19 and 20 digits, 2**63 - 1, 2**63 and 2**64, either sign
+    "[1000000000000000000, -1000000000000000000, 9999999999999999999]",
+    "[10000000000000000000, -10000000000000000000, 99999999999999999999]",
+    "[9223372036854775807, 9223372036854775808, 18446744073709551616]",
+    "[-9223372036854775807, -9223372036854775808, -18446744073709551616]",
+    "[1e300, 9223372036854775808]",
+    "[1e300, 18446744073709551616, 0.5]",
+    "[1e300, -9223372036854775809]",
+    "[1e300, 1e-00000000000000000005]",
+    # past the hypot bound, inside [-2**63, 2**64): ints stay ints
+    "[9223372036854775807, 18446744073709551615, -9223372036854775807, 1.8e19]",
+])
+def test_large_entries_read_as_json_reads_them(text):
+    assert_reads_as_json(text)
+
+
+def test_a_row_of_large_floats_is_read_by_orjson_alone(monkeypatch):
+    # 1000 floats near 1e19 (far past the hypot bound, no integer token):
+    # read with no call to the pure-Python JSONArray
+    rng = np.random.default_rng(19)
+    row = (rng.uniform(0.5, 1.5, 1000) * 1e19).tolist()
+    text = json.dumps({"values": row})
+    calls = []
+    slow = json.decoder.JSONArray
+    monkeypatch.setattr(json.decoder, "JSONArray", lambda *a: calls.append(1) or slow(*a))
+    assert same(_loads(text), json.loads(text))
+    assert not calls
+
+
 def test_a_valid_document_never_reaches_json_loads(tmp_path, monkeypatch):
     n = 30
     rng = np.random.default_rng(0)

@@ -14,10 +14,13 @@ from greenlab import (
     minimality_probe,
     solve,
 )
-from greenlab import solver
+from greenlab import potentials, solver
+from greenlab.potentials import BOYD_STEPS, green_operator, max_norm_ratio
 from tests.helpers import (
+    brute_force_norm_constant,
     count_fft_setups,
     count_gram_builds,
+    norm_ratio_reference,
     random_green_matrix,
     random_weights,
     scalar_fixed_point,
@@ -487,8 +490,11 @@ class TestOneWorkspace:
     def test_a_priori_probe_matches_public_estimate(self):
         # the probe applies sigma's operator on the whole evaluation set and
         # keeps sigma's sites: a subset of it on the matrices, every grid
-        # cell on the grid; on the nonsymmetric matrix the random densities,
-        # not the structured ones, set the maximum, so the seed shows there
+        # cell on the grid.  It draws no random density.  On the symmetric
+        # kernels the 32 random densities of the public estimate add
+        # nothing to Boyd's iterates; on the nonsymmetric matrix they set
+        # the maximum (so the seed shows there), and the probe's c_est
+        # lies below that 37-density estimate
         rng = np.random.default_rng(3)
         G = random_green_matrix(rng, 6)
         sigma, mu = Measure.atomic([4, 1, 2], [0.5, 1.0, 0.7]), Measure.atomic([0, 5], [0.3, 0.6])
@@ -498,10 +504,86 @@ class TestOneWorkspace:
         sampled = Problem(kernel=Kernel.matrix(G9), sigma=sigma, mu=mu, q=0.5, gamma=1.2)
         for p in (subset, sampled, grid_problem(n=32, with_mu=True)):
             args = (p.kernel, p.sigma, (p.gamma + p.q) / p.q, p.gamma + p.q)
+            report = a_priori_check(p, solve(p))
+            assert report["c_est"] == estimate_norm_constant(*args, samples=0, seed=0)
+            assert report["satisfied"]
             expected = estimate_norm_constant(*args, samples=32, seed=0)
-            assert a_priori_check(p, solve(p))["c_est"] == expected
             if p is sampled:
+                assert report["c_est"] == pytest.approx(3.587714, abs=1e-6)
+                assert report["c_est"] < expected
                 assert expected != estimate_norm_constant(*args, samples=32, seed=1)
+            else:
+                assert report["c_est"] == expected
+
+
+def _symmetric_sigma(kind: str, rng):
+    """(kernel, sigma) with a symmetric kernel: a random Green matrix with
+    sigma on every site, or an interval or Riesz grid."""
+    if kind == "matrix":
+        n = 40
+        return (Kernel.matrix(random_green_matrix(rng, n)),
+                Measure.atomic(np.arange(n), random_weights(rng, n)))
+    n = 256
+    kernel = Kernel.interval1d() if kind == "interval" else Kernel.riesz(0.25, 1)
+    return kernel, Measure.grid(n, random_weights(rng, n, hi=2.0))
+
+
+def _probe_operator(kernel, sigma):
+    op = green_operator(kernel, sigma.support_sites, sigma)
+    return op, sigma.integration_weights, op()
+
+
+class TestBoydProbe:
+    @pytest.mark.parametrize("gamma, q", [(1.0, 0.5), (0.3, 0.4), (2.0, 0.9)])
+    @pytest.mark.parametrize("kind", ["matrix", "interval", "riesz"])
+    def test_stacked_a_priori_probe_is_no_lower_than_the_sampled_one(self, monkeypatch,
+                                                                     kind, gamma, q):
+        # on symmetric kernels the a priori probe (structured densities and
+        # Boyd's iterates, bit for bit the public probe with no samples) is
+        # no lower than the one-at-a-time probe with 32 random densities
+        # more, which holds the 5 + 32 densities of a probe without
+        # iterates; it takes at most 5 + 2 * BOYD_STEPS applies of sigma's
+        # operator
+        kernel, sigma = _symmetric_sigma(kind, np.random.default_rng(11))
+        p = Problem(kernel=kernel, sigma=sigma, q=q, gamma=gamma, h=1.0)
+        rep = solve(p)
+        assert rep.converged
+        ws, rows = rep.workspace, []
+        op_sigma = ws.op_sigma
+        monkeypatch.setattr(ws, "op_sigma", lambda f: rows.append(len(f)) or op_sigma(f))
+        c_est = a_priori_check(p, rep)["c_est"]
+        assert 5 < sum(rows) <= 5 + 2 * BOYD_STEPS
+        r = gamma + q
+        args = (*_probe_operator(kernel, sigma), r / q, r)
+        assert c_est == max_norm_ratio(*args, samples=0, seed=0)
+        assert c_est >= norm_ratio_reference(*args, samples=32, seed=0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_small_matrices_stay_below_the_brute_force_constant(self, seed):
+        # both are realized ratios, so both are lower bounds on C; the grid
+        # search of 400 ticks per direction misses the best density by
+        # about (1/400)^2 relative, and Boyd's iterate finds no less
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        G, w = random_green_matrix(rng, n), random_weights(rng, n, allow_zero=False)
+        kernel, sigma = Kernel.matrix(G), Measure.atomic(np.arange(n), w)
+        for gamma, q in [(1.0, 0.5), (0.3, 0.4), (2.0, 0.9)]:
+            r = gamma + q
+            c = max_norm_ratio(*_probe_operator(kernel, sigma), r / q, r, samples=0, seed=0)
+            oracle = brute_force_norm_constant(G, w, r / q, r, grid=400)
+            assert oracle * (1 - 1e-12) <= c <= oracle * (1 + 1e-4)
+
+    @pytest.mark.parametrize("kind", ["matrix", "interval", "riesz"])
+    def test_quasi_norm_iterates_are_finite_and_no_lower(self, monkeypatch, kind):
+        # r = gamma + q < 1: the "norm" is a quasi-norm, outside Boyd's
+        # theory; the iterates still give a finite ratio, no lower than the
+        # structured densities alone
+        kernel, sigma = _symmetric_sigma(kind, np.random.default_rng(5))
+        args = (*_probe_operator(kernel, sigma), 0.7 / 0.4, 0.7)
+        c = max_norm_ratio(*args, samples=0, seed=0)
+        monkeypatch.setattr(potentials, "BOYD_STEPS", 0)
+        structured = max_norm_ratio(*args, samples=0, seed=0)
+        assert np.isfinite(c) and c >= structured > 0.0
 
 
 def _subset(rng, pool: int) -> np.ndarray:
