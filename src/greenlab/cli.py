@@ -43,12 +43,10 @@ class InputError(Exception):
 
 # orjson reads an integer outside [-2**63, 2**64) as a float.  Items whose
 # root sum of squares is below 2**62 are each below 2**63 in magnitude,
-# whatever the rounding of math.hypot.  Past that bound, items strictly
-# inside the range are still read as json reads them (such a float is
-# at least 2**64 or at most -2**63), and so are all items when no integer
-# token has 19 or more digits (2**63 has 19).
+# whatever the rounding of math.hypot.  Past that bound all items are
+# still read as json reads them when no integer token has 19 or more
+# digits (2**63 has 19).
 _HYPOT_BOUND = 2.0 ** 62
-_INT_RANGE = (-2.0 ** 63, 2.0 ** 64)
 _LONG_INTEGER = re.compile(r"[-\[, \t\n\r][0-9]{19,}(?![.eE0-9])")
 
 
@@ -61,16 +59,14 @@ def _parse_array(s_and_end, scan_once):
     ``]`` closes the array: one inside a string would leave the string
     unterminated.  orjson's list is kept when every item is a number (bools
     included; ``math.hypot`` raises ``TypeError`` on any other item) and
-    their root sum of squares is below 2**62, or they lie strictly inside
-    [-2**63, 2**64), or the slice holds no integer token of 19 or more
-    digits.  Everything else is read by ``JSONArray``."""
+    their root sum of squares is below 2**62 or the slice holds no integer
+    token of 19 or more digits.  Everything else is read by ``JSONArray``."""
     text, end = s_and_end
     close = text.find("]", end) + 1  # just past the first "]"; 0 when there is none
     if close and text.find("[", end, close) < 0:
         try:
             values = orjson.loads(text[end - 1:close])  # refuses 1E400, which json reads as inf
             if (math.hypot(*values) < _HYPOT_BOUND
-                    or _INT_RANGE[0] < min(values) and max(values) < _INT_RANGE[1]
                     or not _LONG_INTEGER.search(text, end - 1, close)):
                 return values, close
         except (orjson.JSONDecodeError, TypeError):

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import INF, gram_product, integer, real, row_blocks
+from .extreal import gram_product, integer, real, row_blocks
 
 MATRIX = "matrix"
 RIESZ = "riesz"
@@ -271,12 +271,11 @@ def estimate_wmp_constant(kernel: Kernel, samples: int = 64, seed: int = 0) -> f
         if not w.any():
             w[int(rng.integers(n))] = 1.0
     for rows in row_blocks(samples, 16 * n):
-        w = probes[rows]
-        pot = gram_product(G, w)  # finite entries and probes: no NaN, no mask
-        on_supp = np.max(pot, axis=-1, initial=-INF, where=w > 0.0)
-        ok = (on_supp > 0.0) & np.isfinite(on_supp)
-        with np.errstate(over="ignore"):
-            h = max(h, float(np.max(pot[ok].max(axis=-1) / on_supp[ok], initial=h)))
+        # finite entries and probes: no NaN, no mask
+        for w, pot in zip(probes[rows], gram_product(G, probes[rows])):
+            on_supp = float(pot[w > 0.0].max())
+            if on_supp > 0.0 and np.isfinite(on_supp):
+                h = max(h, float(pot.max()) / on_supp)
     return h
 
 

@@ -235,6 +235,13 @@ def green_operator(kernel: Kernel, target_sites, omega: Measure):
     return apply
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v over its largest entry when that is positive and finite: a ratio
+    is homogeneous, and a largest entry of 1 stays 1 under any power."""
+    top = np.max(v)
+    return v / top if 0.0 < top < INF else v
+
+
 def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float,
                    samples: int, seed: int) -> float:
     """Largest ||G(f d omega)||_r / ||f||_p over the densities f = (G omega)^t
@@ -243,14 +250,14 @@ def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float
     own sites, its weights and G omega there.
 
     Boyd's step f <- (A((A f)^(r-1)))^(1/(p-1)) (Linear Algebra Appl. 9,
-    1974; Higham, Numer. Math. 62, 1992), scaled by a power of two, takes
-    two applies, as A f carries over; it stops after ``BOYD_STEPS`` steps
-    or when a ratio rises by less than ``BOYD_RISE`` relative.  For a
-    symmetric kernel A is self-adjoint in L^2(omega) and a fixed point is
-    a critical point of the ratio; for any kernel, and for r < 1, every
-    iterate is a realized ratio, so the maximum stays a lower bound on C.
+    1974; Higham, Numer. Math. 62, 1992) takes two applies, as A f carries
+    over, and scales each base to a largest entry of 1 before its power.
+    It stops after ``BOYD_STEPS`` steps or when a ratio rises by less than
+    ``BOYD_RISE`` relative.  On a symmetric kernel a fixed point is a
+    critical point of the ratio; on any kernel every iterate is a realized
+    ratio, so the maximum stays a lower bound on C.
 
-    ``apply`` takes a stack of densities, one per row; a Boyd iterate is a
+    ``apply`` takes a stack of densities, one per row; an iterate is a
     stack of one, the others go in blocks of ``row_blocks(count, 16 N)``
     rows: an apply holds several arrays of a block's size, and at about
     2**14 entries (128 KB) each stays in cache and under malloc's default
@@ -261,40 +268,37 @@ def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float
     """
     n = len(w)
 
-    def ratios(f: np.ndarray, af: np.ndarray) -> np.ndarray:
-        """The ratio of each row of f, given af = apply(f), or 0.  A row
-        whose ||f||_p is 0 or NaN, whose norms are both +inf, or whose
+    def block_max(f: np.ndarray, af: np.ndarray) -> float:
+        """The largest ratio over the rows of f, given af = apply(f), or 0.
+        A row whose ||f||_p is 0 or NaN, whose norms are both +inf, or whose
         ratio is NaN does not count; a ratio past the float range is +inf."""
         den = ext_power(power_integral(f, p, w), 1.0 / p)
         num = ext_power(power_integral(af, r, w), 1.0 / r)
         keep = (den != 0.0) & ~np.isnan(den) & ~(np.isinf(num) & np.isinf(den))
-        out = np.zeros(len(f))
         with np.errstate(over="ignore"):
-            out[keep] = num[keep] / den[keep]
-        return np.where(np.isnan(out), 0.0, out)
+            ratio = num[keep] / den[keep]
+        return float(np.max(ratio, initial=0.0, where=~np.isnan(ratio)))
 
-    best, exponents = 0.0, (0.0, 0.5, 1.0, 2.0, r / (p - r))
+    exponents = (0.0, 0.5, 1.0, 2.0, r / (p - r))
+    best = 0.0
     for rows in row_blocks(len(exponents), 16 * n):
         f = np.stack([ext_power(g_omega, t) for t in exponents[rows]])
         af = apply(f)
-        values = ratios(f, af)
-        best = max(best, float(np.max(values)))
-    af, last = af[-1:], values[-1]  # the candidate t = r/(p-r) starts the iterates
+        best = max(best, block_max(f, af))
+    af = af[-1:]  # the candidate t = r/(p-r) starts the iterates
+    last = block_max(f[-1:], af)
     for _ in range(BOYD_STEPS):
-        f = ext_power(apply(ext_power(af, r - 1.0)), 1.0 / (p - 1.0))
-        top = np.max(f)
-        if 0.0 < top < INF:  # a maximum in [1/2, 1): no drift out of the float range
-            f = np.ldexp(f, -np.frexp(top)[1])
+        f = ext_power(_unit(apply(ext_power(_unit(af), r - 1.0))), 1.0 / (p - 1.0))
         af = apply(f)
-        value = ratios(f, af)[0]
-        best = max(best, float(value))
+        value = block_max(f, af)
+        best = max(best, value)
         if not value > last * (1.0 + BOYD_RISE):
             break
         last = value
     rng = np.random.default_rng(seed)
     for rows in row_blocks(samples, 16 * n):
         f = 1.0 - rng.random((rows.stop - rows.start, n))
-        best = max(best, float(np.max(ratios(f, apply(f)))))
+        best = max(best, block_max(f, apply(f)))
     return float(best)
 
 

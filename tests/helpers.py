@@ -196,10 +196,10 @@ def norm_ratio_reference(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r:
         last, af = ratio(ext_power(g_omega, t))
         best = max(best, last)
     for _ in range(BOYD_STEPS):
-        f = ext_power(apply(ext_power(af, r - 1.0)), 1.0 / (p - 1.0))
-        top = float(np.max(f))
-        if 0.0 < top < np.inf:
-            f = np.ldexp(f, -np.frexp(top)[1])
+        top = float(np.max(af))
+        g = apply(ext_power(af / top if 0.0 < top < np.inf else af, r - 1.0))
+        top = float(np.max(g))
+        f = ext_power(g / top if 0.0 < top < np.inf else g, 1.0 / (p - 1.0))
         value, af = ratio(f)
         best = max(best, value)
         if not value > last * (1.0 + BOYD_RISE):

@@ -171,7 +171,7 @@ def test_doubles_read_bit_for_bit():
     "[1e300, 18446744073709551616, 0.5]",
     "[1e300, -9223372036854775809]",
     "[1e300, 1e-00000000000000000005]",
-    # past the hypot bound, inside [-2**63, 2**64): ints stay ints
+    # past the hypot bound with integer tokens of 19+ digits: ints stay ints
     "[9223372036854775807, 18446744073709551615, -9223372036854775807, 1.8e19]",
 ])
 def test_large_entries_read_as_json_reads_them(text):

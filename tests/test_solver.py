@@ -558,6 +558,26 @@ class TestBoydProbe:
         assert c_est == max_norm_ratio(*args, samples=0, seed=0)
         assert c_est >= norm_ratio_reference(*args, samples=32, seed=0)
 
+    @pytest.mark.parametrize("gamma", [0.02, 0.002])
+    @pytest.mark.parametrize("kind, scale", [("matrix", 1e6), ("matrix", 1e-6),
+                                             ("interval", 1.0), ("riesz", 1.0)])
+    def test_iterates_near_p_one_stay_in_the_float_range(self, kind, scale, gamma):
+        # q = 0.9 raises each step to 1/(p - 1) = 45 or 450: every base is
+        # scaled before its power, so no density the probe applies holds
+        # +inf or is all zero, and the probe stays no lower than the
+        # sampled one
+        kernel, sigma = _symmetric_sigma(kind, np.random.default_rng(3))
+        if kind == "matrix":
+            kernel = Kernel.matrix(kernel.values * scale)
+        r = gamma + 0.9
+        op, w, g_omega = _probe_operator(kernel, sigma)
+        applied = []
+        args = (lambda f: applied.append(f) or op(f), w, g_omega, r / 0.9, r)
+        c_est = max_norm_ratio(*args, samples=0, seed=0)
+        assert all(np.isfinite(f).all() and (f.max(axis=-1) > 0.0).all() for f in applied)
+        assert c_est == norm_ratio_reference(*args, samples=0, seed=0)
+        assert c_est >= norm_ratio_reference(*args, samples=32, seed=0)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_small_matrices_stay_below_the_brute_force_constant(self, seed):
         # both are realized ratios, so both are lower bounds on C; the grid
