@@ -25,7 +25,7 @@ import orjson
 
 from . import verify as verify_mod
 from .energy import green_energy, ibp_check
-from .extreal import integer, real
+from .extreal import real
 from .kernels import INTERVAL, Kernel, resolve_h
 from .measures import GRID, Measure
 from .serialize import dumps, echo, write_csv, write_field_csv
@@ -195,18 +195,14 @@ _READERS = {
     **dict.fromkeys(("s", "q", "p", "r", "gamma", "alpha", "beta"),
                     lambda value, name: real(value, name)),
     "h": lambda value, name: real(value, name, least=1),
-    "samples": lambda value, name: integer(value, name, least=0),
-    "seed": lambda value, name: integer(value, name),
     **dict.fromkeys(("n", "u", "phi"), lambda value, name: value),
 }
 
 # the optional fields: what an entry that leaves one out gets, from the
-# fields read before it and --seed; None leaves the check's own default
+# fields read before it; None leaves the check's own default
 _ABSENT = {
-    "h": lambda read, seed: resolve_h(read["kernel"]),  # once: on a matrix it is a WMP scan
-    "u": lambda read, seed: None,  # check_lower_bound solves for it
-    "seed": lambda read, seed: seed,
-    "samples": None,
+    "h": lambda read: resolve_h(read["kernel"]),  # once: on a matrix it is a WMP scan
+    "u": lambda read: None,  # check_lower_bound solves for it
     "phi": None,
 }
 
@@ -215,16 +211,15 @@ _ABSENT = {
 _CHECKS = {
     "iterated": ("check_iterated", ("kernel", "omega", "s", "h")),
     "lower_bound": ("check_lower_bound", ("kernel", "omega", "q", "u", "h")),
-    "norm_constant": ("check_norm_constant", ("kernel", "omega", "p", "r", "samples", "seed")),
-    "equivalence": ("check_norm_equivalence",
-                    ("kernel", "omega", "p", "r", "samples", "seed", "h")),
+    "norm_constant": ("check_norm_constant", ("kernel", "omega", "p", "r")),
+    "equivalence": ("check_norm_equivalence", ("kernel", "omega", "p", "r", "h")),
     "relation_chain": ("check_relation_chain", ("kernel", "sigma", "mu", "q", "gamma", "h")),
     "hls": ("check_hls_condition", ("alpha", "n", "beta", "omega")),
     "hardy": ("check_hardy", ("kernel", "omega", "phi")),
 }
 
 
-def _manifest_check(entry: dict, seed: int):
+def _manifest_check(entry: dict):
     kind = entry.get("check")
     if kind is None:
         raise InputError("manifest entry without a 'check' field")
@@ -238,7 +233,7 @@ def _manifest_check(entry: dict, seed: int):
         elif name not in _ABSENT:
             raise InputError(f"check {kind!r} needs a {name!r}")
         elif _ABSENT[name]:
-            read[name] = _ABSENT[name](read, seed)
+            read[name] = _ABSENT[name](read)
     return getattr(verify_mod, check)(**read)
 
 
@@ -252,12 +247,10 @@ def _cmd_verify(args) -> int:
         if not isinstance(entry, dict):
             raise InputError(f"manifest entries must be objects, got {type(entry).__name__}")
         try:
-            reports.append(_manifest_check(entry, args.seed))
+            reports.append(_manifest_check(entry))
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"bad manifest entry {entry.get('check')!r}: {exc}") from exc
-    out = _base_report("verify", {
-        "input": args.input, "seed": args.seed, "n_checks": len(checks),
-    })
+    out = _base_report("verify", {"input": args.input, "n_checks": len(checks)})
     out["reports"] = [r.to_dict() for r in reports]
     _emit(out, args.out)
     width = max((len(r.check_name) for r in reports), default=10)
@@ -305,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a manifest of checks")
     p_verify.add_argument("input")
-    p_verify.add_argument("--seed", type=int, default=0,
-                          help="seed of a norm-constant probe whose entry gives none")
     common(p_verify)
 
     p_exp = sub.add_parser("exponents", help="exponent table for given (n, p, q)")

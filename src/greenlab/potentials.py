@@ -235,6 +235,23 @@ def green_operator(kernel: Kernel, target_sites, omega: Measure):
     return apply
 
 
+def adjoint_operator(kernel: Kernel, omega: Measure, apply):
+    """g -> G^T(g d omega) on omega's sites, the adjoint of ``apply`` (omega's
+    operator there) in L^2(omega): ``apply`` itself unless a matrix differs
+    from its transpose on omega's sites, compared a block of rows at a time
+    (views on all sites in order), then the transposed matrix's operator."""
+    if kernel.variant != MATRIX:
+        return apply
+    idx, G = kernel._as_sites(omega.support_sites), kernel.values
+    every = np.array_equal(idx, np.arange(len(G)))
+    cols = slice(None) if every else idx
+    for rows in row_blocks(len(idx), len(idx)):
+        pick = rows if every else idx[rows]
+        if not np.array_equal(G[pick][:, cols], G[:, pick][cols].T):
+            return green_operator(Kernel.matrix(G.T), omega.support_sites, omega)
+    return apply
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     """v over its largest entry when that is positive and finite: a ratio
     is homogeneous, and a largest entry of 1 stays 1 under any power."""
@@ -242,31 +259,27 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / top if 0.0 < top < INF else v
 
 
-def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float,
-                   samples: int, seed: int) -> float:
+def max_norm_ratio(apply, adjoint, w: np.ndarray, g_omega: np.ndarray, p: float,
+                   r: float) -> float:
     """Largest ||G(f d omega)||_r / ||f||_p over the densities f = (G omega)^t
-    on a small exponent grid, Boyd's power iterates from the last of them
-    and ``samples`` uniform(0,1] random ones, given omega's operator on its
-    own sites, its weights and G omega there.
+    on a small exponent grid and Boyd's power iterates from the last of
+    them, given omega's operator A on its own sites, its adjoint A*
+    (``adjoint_operator``), its weights and G omega there.
 
-    Boyd's step f <- (A((A f)^(r-1)))^(1/(p-1)) (Linear Algebra Appl. 9,
+    Boyd's step f <- (A*((A f)^(r-1)))^(1/(p-1)) (Linear Algebra Appl. 9,
     1974; Higham, Numer. Math. 62, 1992) takes two applies, as A f carries
     over, and scales each base to a largest entry of 1 before its power.
     It stops after ``BOYD_STEPS`` steps or when a ratio rises by less than
-    ``BOYD_RISE`` relative.  On a symmetric kernel a fixed point is a
-    critical point of the ratio; on any kernel every iterate is a realized
-    ratio, so the maximum stays a lower bound on C.
+    ``BOYD_RISE`` relative.  A fixed point is a critical point of the
+    ratio, and every iterate is a realized ratio, so the maximum stays a
+    lower bound on C.
 
-    ``apply`` takes a stack of densities, one per row; an iterate is a
-    stack of one, the others go in blocks of ``row_blocks(count, 16 N)``
-    rows: an apply holds several arrays of a block's size, and at about
-    2**14 entries (128 KB) each stays in cache and under malloc's default
-    mmap threshold, where 2**16-entry blocks spent their gain on page
-    faults.  A block of random densities is drawn as one (k, N) array, the
-    same stream as k draws of N.  Every row keeps the bits of its own 1-d
-    apply and integrals, so the blocks change no bit of the result.
+    ``apply`` takes a stack of densities, one per row: the structured ones
+    go in blocks of ``row_blocks(5, 16 N)`` rows, about 2**14 entries
+    (128 KB), which stay in cache and under malloc's default mmap
+    threshold, and each iterate is a stack of one.  Every row keeps the
+    bits of its own 1-d apply and integrals, so the blocks change no bit.
     """
-    n = len(w)
 
     def block_max(f: np.ndarray, af: np.ndarray) -> float:
         """The largest ratio over the rows of f, given af = apply(f), or 0.
@@ -281,24 +294,20 @@ def max_norm_ratio(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float
 
     exponents = (0.0, 0.5, 1.0, 2.0, r / (p - r))
     best = 0.0
-    for rows in row_blocks(len(exponents), 16 * n):
+    for rows in row_blocks(len(exponents), 16 * len(w)):
         f = np.stack([ext_power(g_omega, t) for t in exponents[rows]])
         af = apply(f)
         best = max(best, block_max(f, af))
     af = af[-1:]  # the candidate t = r/(p-r) starts the iterates
     last = block_max(f[-1:], af)
     for _ in range(BOYD_STEPS):
-        f = ext_power(_unit(apply(ext_power(_unit(af), r - 1.0))), 1.0 / (p - 1.0))
+        f = ext_power(_unit(adjoint(ext_power(_unit(af), r - 1.0))), 1.0 / (p - 1.0))
         af = apply(f)
         value = block_max(f, af)
         best = max(best, value)
         if not value > last * (1.0 + BOYD_RISE):
             break
         last = value
-    rng = np.random.default_rng(seed)
-    for rows in row_blocks(samples, 16 * n):
-        f = 1.0 - rng.random((rows.stop - rows.start, n))
-        best = max(best, block_max(f, apply(f)))
     return float(best)
 
 

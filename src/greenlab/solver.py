@@ -28,10 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .extreal import TINY, ext_power, real, sup_abs
+from .extreal import TINY, ext_power, masked_mul, real, sup_abs
 from .kernels import RIESZ, Kernel, resolve_h
 from .measures import GRID, Field, Measure, lp_norm, power_integral, total_mass
-from .potentials import domain_sites, green_operator, max_norm_ratio
+from .potentials import adjoint_operator, domain_sites, green_operator, max_norm_ratio
 
 DEFAULT_TOL_ATOMIC = 1e-10
 DEFAULT_TOL_GRID = 1e-7
@@ -291,9 +291,9 @@ def a_priori_check(problem: Problem, report: SolveReport,
     c = max(1, 2^((1-gamma-q)/(gamma+q))) comes from the quasi-triangle
     inequality of the norm; gamma+q >= 1 forces c = 1.  ``c_est`` estimates
     the ((gamma+q)/q, gamma+q) weighted-norm constant C of sigma; if omitted,
-    it is probed on the report's workspace, building no operator: sigma's
-    operator on sigma's sites, the structured densities and Boyd's power
-    iterates from the last of them (``max_norm_ratio``), no random ones.
+    it is probed on the report's workspace: sigma's operator on sigma's
+    sites and its adjoint (``adjoint_operator``), the structured densities
+    and Boyd's power iterates from the last of them (``max_norm_ratio``).
     The bound is satisfied only by a finite norm: inf <= inf proves nothing.
     ``problem`` must be ``report.problem``.
     """
@@ -303,13 +303,15 @@ def a_priori_check(problem: Problem, report: SolveReport,
     p, ws = problem, report.workspace
     r_exp = p.gamma + p.q
     if c_est is None:
-        c_est = max_norm_ratio(lambda f: np.take(ws.op_sigma(f), ws.sigma_pos, axis=-1),
-                               ws.w_sigma, ws.gsigma[ws.sigma_pos], p=r_exp / p.q, r=r_exp,
-                               samples=0, seed=0)
-    c = max(1.0, 2.0 ** ((1.0 - r_exp) / r_exp))
+        def apply(f):
+            return np.take(ws.op_sigma(f), ws.sigma_pos, axis=-1)
+
+        c_est = max_norm_ratio(apply, adjoint_operator(p.kernel, p.sigma, apply), ws.w_sigma,
+                               ws.gsigma[ws.sigma_pos], p=r_exp / p.q, r=r_exp)
+    c = max(1.0, float(ext_power(2.0, (1.0 - r_exp) / r_exp)))  # +inf past the float range
     norm_u = lp_norm(report.u_on_sigma(), r_exp)
     norm_gmu = lp_norm(Field(p.sigma, ws.gmu[ws.sigma_pos]), r_exp)
-    bound = (c_est * c) ** (1.0 / (1.0 - p.q)) + c / (1.0 - p.q) * norm_gmu
+    bound = float(ext_power(c_est * c, 1.0 / (1.0 - p.q)) + masked_mul(c / (1.0 - p.q), norm_gmu))
     return {
         "bound_value": float(bound),
         "norm_value": float(norm_u),

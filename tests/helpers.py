@@ -168,14 +168,15 @@ def count_fft_setups(monkeypatch) -> list:
     return count_calls(monkeypatch, "_riesz_grid_operator")
 
 
-def norm_ratio_reference(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r: float,
-                         samples: int, seed: int) -> float:
+def norm_ratio_reference(apply, adjoint, w: np.ndarray, g_omega: np.ndarray, p: float,
+                         r: float, samples: int, seed: int) -> float:
     """The norm-constant probe one density at a time: every density goes
     through its own 1-d apply and power integrals, then Boyd's power
-    iterates from the last structured density, each step one apply of
-    (A f)^(r-1) and one of the new f, then the random densities drawn by
-    ``rng.random(N)`` one after the other.  The blocked
-    ``potentials.max_norm_ratio`` must equal it bit for bit."""
+    iterates from the last structured density, each step one adjoint
+    apply of (A f)^(r-1) and one apply of the new f, then ``samples``
+    random densities drawn by ``rng.random(N)`` one after the other.  With
+    no samples the blocked ``potentials.max_norm_ratio`` must equal it bit
+    for bit; with them it is the reference the probe must not fall below."""
     from greenlab.extreal import ext_power
     from greenlab.measures import power_integral
     from greenlab.potentials import BOYD_RISE, BOYD_STEPS
@@ -197,7 +198,7 @@ def norm_ratio_reference(apply, w: np.ndarray, g_omega: np.ndarray, p: float, r:
         best = max(best, last)
     for _ in range(BOYD_STEPS):
         top = float(np.max(af))
-        g = apply(ext_power(af / top if 0.0 < top < np.inf else af, r - 1.0))
+        g = adjoint(ext_power(af / top if 0.0 < top < np.inf else af, r - 1.0))
         top = float(np.max(g))
         f = ext_power(g / top if 0.0 < top < np.inf else g, 1.0 / (p - 1.0))
         value, af = ratio(f)

@@ -60,11 +60,11 @@ FUZZ_MANIFEST_ENTRIES = {
     "norm_constant": {"check": "norm_constant",
                       "kernel": {"variant": "matrix", "values": [[2, 1], [1, 2]]},
                       "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1, 1]},
-                      "p": 3.0, "r": 1.5, "samples": 4, "seed": 1},
+                      "p": 3.0, "r": 1.5},
     "equivalence": {"check": "equivalence",
                     "kernel": {"variant": "matrix", "values": [[2, 1], [1, 2]]},
                     "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1, 1]},
-                    "p": 3.0, "r": 1.5, "samples": 4},
+                    "p": 3.0, "r": 1.5},
     "relation_chain": {"check": "relation_chain",
                        "kernel": {"variant": "matrix", "values": [[1.0]]},
                        "sigma": {"variant": "atomic", "sites": [0], "weights": [1.0]},
@@ -413,7 +413,7 @@ class TestVerify:
                 {"check": "norm_constant",
                  "kernel": {"variant": "matrix", "values": [[2, 1], [1, 2]]},
                  "omega": {"variant": "atomic", "sites": [0, 1], "weights": [1, 1]},
-                 "p": 3.0, "r": 1.5, "samples": 32},
+                 "p": 3.0, "r": 1.5},
                 {"check": "relation_chain",
                  "kernel": {"variant": "matrix", "values": [[1.0]]},
                  "sigma": {"variant": "atomic", "sites": [0], "weights": [1.0]},
@@ -466,15 +466,16 @@ class TestVerify:
 
     def test_every_kind_report_bytes_are_pinned(self, tmp_path, monkeypatch):
         # every check kind: lower_bound on a given u, solved on a grid and on
-        # a matrix, and a failed Riesz-atom solve; norm_constant with and
-        # without a seed; equivalence with and without h; hardy on each kind
+        # a matrix, and a failed Riesz-atom solve; norm_constant and
+        # equivalence, whose entries still carry the retired samples and
+        # seed fields; equivalence with and without h; hardy on each kind
         # of phi; one iterated, relation_chain and hls entry
         monkeypatch.chdir(tmp_path)
         name = "verify_kinds.manifest.json"
         (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            assert main(["verify", name, "--seed", "3", "--out", "r.json"]) == 1
+            assert main(["verify", name, "--out", "r.json"]) == 1
         got = strip_timestamp((tmp_path / "r.json").read_text()).encode()
         assert got == (GOLDEN_DIR / "verify_kinds.json").read_bytes()
         assert err.getvalue().splitlines() == [
@@ -482,10 +483,10 @@ class TestVerify:
             "PASS  lower_bound       digest=753a5d6f1b51  margin=0.00415",
             "PASS  lower_bound       digest=7d39c022fb85  margin=1.38",
             "FAIL  lower_bound       digest=c502a3e656bd  margin=0",
-            "PASS  norm_constant     digest=7c113573f9af  margin=0",
-            "PASS  norm_constant     digest=db7f5fb49985  margin=0",
-            "PASS  norm_equivalence  digest=8a4e39f475e1  margin=0.0692",
-            "PASS  norm_equivalence  digest=36e3666664f1  margin=1.89",
+            "PASS  norm_constant     digest=354c766321ee  margin=0",
+            "PASS  norm_constant     digest=489093d3340c  margin=0",
+            "PASS  norm_equivalence  digest=8460246c4924  margin=0.0692",
+            "PASS  norm_equivalence  digest=484542ab1cc1  margin=1.89",
             "PASS  hardy             digest=2cf2e24c8b42  margin=0",
             "PASS  hardy             digest=6376bb2e4911  margin=0",
             "PASS  hardy             digest=9c51d6185df0  margin=0",
@@ -497,8 +498,8 @@ class TestVerify:
     def test_deterministic_modulo_timestamp(self, tmp_path):
         inp = write(tmp_path, "m.json", self.manifest())
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
-        assert main(["verify", inp, "--seed", "0", "--out", out1]) == 0
-        assert main(["verify", inp, "--seed", "0", "--out", out2]) == 0
+        assert main(["verify", inp, "--out", out1]) == 0
+        assert main(["verify", inp, "--out", out2]) == 0
         t1, t2 = open(out1).read(), open(out2).read()
         assert t1 != t2  # the timestamps differ ...
         assert strip_timestamp(t1) == strip_timestamp(t2)  # ... and nothing else does
@@ -540,7 +541,7 @@ class TestVerify:
          {"check": "norm_constant",
           "kernel": {"variant": "matrix", "values": echoed([[2, 1], [1, 2]])},
           "omega": {"variant": "atomic", "sites": echoed([0, 1]), "weights": echoed([1, 1])},
-          "p": 3.0, "r": 1.5, "samples": 4, "seed": 1}),
+          "p": 3.0, "r": 1.5}),
         (FUZZ_MANIFEST_ENTRIES["hardy"],
          {"check": "hardy", "kernel": {"variant": "interval1d"},
           "omega": {"variant": "grid", "n_cells": 32, "values": echoed([1.0] * 32)},
@@ -758,30 +759,8 @@ class TestExponents:
     # JSON's Infinity parses as a float, which int() cannot take
     ("solve", {**GOLDEN_PROBLEM, "kernel": {"variant": "riesz", "alpha": 0.25, "dim": math.inf}},
      "problem file has a missing or malformed field: cannot convert float infinity"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "seed": math.inf}]},
-     "bad manifest entry 'norm_constant': cannot convert float infinity"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "samples": math.inf}]},
-     "bad manifest entry 'equivalence': cannot convert float infinity"),
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["hls"], "n": math.inf}]},
      "bad manifest entry 'hls': cannot convert float infinity"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "samples": -3}]},
-     "bad manifest entry 'equivalence': 'samples' must be an integer >= 0, got -3"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "samples": -3}]},
-     "bad manifest entry 'norm_constant': 'samples' must be an integer >= 0, got -3"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "samples": 1.5}]},
-     "bad manifest entry 'equivalence': 'samples' must be an integer >= 0, got 1.5"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "samples": True}]},
-     "bad manifest entry 'norm_constant': 'samples' must be an integer >= 0, got True"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "samples": "4"}]},
-     "bad manifest entry 'equivalence': 'samples' must be an integer >= 0, got '4'"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "seed": 1.5}]},
-     "bad manifest entry 'norm_constant': 'seed' must be an integer, got 1.5"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "seed": 1.5}]},
-     "bad manifest entry 'equivalence': 'seed' must be an integer, got 1.5"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["equivalence"], "seed": False}]},
-     "bad manifest entry 'equivalence': 'seed' must be an integer, got False"),
-    ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["norm_constant"], "seed": math.nan}]},
-     "bad manifest entry 'norm_constant': cannot convert float NaN"),
     # every integer field by one rule: no truncation, no bool, no string
     ("solve", {**RIESZ_GRID_PROBLEM, "kernel": {**RIESZ_GRID_PROBLEM["kernel"], "dim": 1.7}},
      "riesz dim must be an integer >= 1, got 1.7"),
@@ -852,11 +831,7 @@ class TestExponents:
         "solve-string-kernel", "solve-number-mu", "verify-string-kernel", "energy-list-omega",
         "solve-null-site", "solve-object-site", "solve-fractional-n-cells",
         "solve-string-n-cells", "solve-nan-site", "solve-infinite-site", "solve-infinite-dim",
-        "verify-infinite-seed", "verify-infinite-samples", "verify-infinite-n",
-        "verify-negative-samples", "verify-negative-samples-norm-constant",
-        "verify-fractional-samples", "verify-bool-samples", "verify-string-samples",
-        "verify-fractional-seed", "verify-fractional-seed-equivalence", "verify-bool-seed",
-        "verify-nan-seed", "solve-fractional-riesz-dim", "solve-bool-riesz-dim",
+        "verify-infinite-n", "solve-fractional-riesz-dim", "solve-bool-riesz-dim",
         "solve-string-riesz-dim", "verify-fractional-hls-n", "verify-half-hls-n",
         "verify-small-h-iterated", "verify-small-h-relation-chain",
         "verify-negative-h-relation-chain", "solve-string-alpha", "solve-string-q",
@@ -874,19 +849,66 @@ def test_malformed_input_exits_two(tmp_path, capsys, command, payload, message):
     assert "Traceback" not in err
 
 
+# values of the retired samples and seed fields, among them every value the
+# parent format refused as malformed
+RETIRED_FIELDS = {
+    "counts": {"samples": 200, "seed": 7}, "integral-floats": {"samples": 4.0, "seed": 1.0},
+    "infinite-seed": {"seed": math.inf}, "infinite-samples": {"samples": math.inf},
+    "nan-seed": {"seed": math.nan}, "negative-samples": {"samples": -3},
+    "fractional-samples": {"samples": 1.5}, "fractional-seed": {"seed": 1.5},
+    "bool-samples": {"samples": True}, "bool-seed": {"seed": False},
+    "string-samples": {"samples": "4"}, "string-seed": {"seed": "1"},
+}
+
+
+@pytest.mark.parametrize("fields", RETIRED_FIELDS.values(), ids=RETIRED_FIELDS.keys())
 @pytest.mark.parametrize("kind", ["norm_constant", "equivalence"])
-def test_probe_counts_take_integral_floats(tmp_path, kind):
-    # n_cells' rule: 4.0 samples and seed 1.0 are 4 and 1; 0 samples
-    # probe the structured densities only
-    reports = []
-    for extra in ({"samples": 4, "seed": 1}, {"samples": 4.0, "seed": 1.0},
-                  {"samples": 0, "seed": 1}):
+def test_retired_probe_fields_change_no_byte(tmp_path, kind, fields):
+    # the probe draws no random density: an entry that still carries
+    # samples or seed, whatever their value, gives the report of the same
+    # entry without them, byte for byte but the timestamp
+    texts, out = [], tmp_path / "r.json"
+    for extra in ({}, fields):
         manifest = {"checks": [{**FUZZ_MANIFEST_ENTRIES[kind], **extra}]}
-        out = str(tmp_path / "r.json")
-        assert main(["verify", write(tmp_path, "m.json", manifest), "--out", out]) == 0
-        reports.append(load_report(out)["reports"][0])
-    assert reports[0]["lhs"] == reports[1]["lhs"] and reports[0]["details"] == reports[1]["details"]
-    assert 0.0 < reports[2]["lhs"] <= reports[0]["lhs"]
+        assert main(["verify", write(tmp_path, "m.json", manifest), "--out", str(out)]) == 0
+        texts.append(strip_timestamp(out.read_text()))
+    assert texts[0] == texts[1]
+
+
+# entries whose constants or floors pass the float range: h^(r/(p-r)) with
+# r/(p-r) = 2999, an energy of 1e100-weighted cells to the power 9.67, and
+# h^(s-1) with gamma or s = 1500
+FLOAT_RANGE_GRID = {"variant": "grid", "n_cells": 8, "values": [1.0] * 8}
+FLOAT_RANGE_ENTRIES = {
+    "equivalence-h-power": {"check": "equivalence", "kernel": {"variant": "interval1d"},
+                            "omega": FLOAT_RANGE_GRID, "p": 3.0, "r": 2.999, "h": 2.0},
+    "equivalence-energy-power": {"check": "equivalence", "kernel": {"variant": "interval1d"},
+                                 "omega": {**FLOAT_RANGE_GRID, "values": [1e100] * 8},
+                                 "p": 3.0, "r": 0.1},
+    "relation-chain-gamma-1500": {"check": "relation_chain", "kernel": {"variant": "interval1d"},
+                                  "sigma": FLOAT_RANGE_GRID, "mu": FLOAT_RANGE_GRID,
+                                  "q": 0.5, "gamma": 1500.0, "h": 2.0},
+    "iterated-s-1500": {"check": "iterated", "kernel": {"variant": "interval1d"},
+                        "omega": FLOAT_RANGE_GRID, "s": 1500.0, "h": 2.0},
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_RANGE_ENTRIES.values(), ids=FLOAT_RANGE_ENTRIES.keys())
+def test_float_range_constants_give_a_verdict(tmp_path, capsys, entry):
+    # past the float range a constant is +inf, 1/inf is 0 and 0 * inf is
+    # 0: valid input gets a report and a verdict, not exit 2
+    out = tmp_path / "r.json"
+    code = main(["verify", write(tmp_path, "m.json", {"checks": [entry]}), "--out", str(out)])
+    rep = load_report(out)["reports"][0]
+    assert code == (0 if rep["passed"] else 1)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("PASS" if rep["passed"] else "FAIL")
+    if entry["check"] == "equivalence" and entry["r"] == 0.1:
+        assert rep["rhs"] == "inf" and rep["passed"] is False
+    elif entry["check"] == "equivalence":  # c0 = 1/2^2999 = 0, and the floor 0 * energy
+        assert (rep["constant_used"], rep["rhs"], rep["passed"]) == (0.0, 0.0, True)
+    else:
+        assert rep["constant_used"] == "inf" and rep["passed"] is True
 
 
 def test_flags_do_not_leak_between_calls(tmp_path):
@@ -922,10 +944,11 @@ def test_solve_flag_out_of_range_exits_two(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "p.json"], ["energy", "e.json"], ["exponents", "--n", "3", "--p", "2", "--q", "0.5"],
-], ids=["solve", "energy", "exponents"])
-def test_seed_belongs_to_verify(argv, capsys):
-    # solve's random probes always draw from seed 0: only a verify report
-    # depends on a seed
+    ["verify", "m.json"],
+], ids=["solve", "energy", "exponents", "verify"])
+def test_no_command_takes_a_seed(argv, capsys):
+    # the WMP scan always draws from seed 0 and the norm-constant probe
+    # draws nothing: no report depends on a seed
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "3"])
     assert exc.value.code == 2

@@ -13,8 +13,8 @@ from greenlab import Kernel, Measure, domain_sites, iterated_potential, potentia
 from greenlab import extreal
 from greenlab.extreal import masked_mul, row_blocks, weighted_sum
 from greenlab.measures import power_integral
-from greenlab.potentials import (_interval_operator, green_operator, lattice_column,
-                                 quadrature_gram, toeplitz_operator)
+from greenlab.potentials import (_interval_operator, adjoint_operator, green_operator,
+                                 lattice_column, quadrature_gram, toeplitz_operator)
 from tests.helpers import interval_green_oracle, random_green_matrix, random_weights
 
 
@@ -278,6 +278,76 @@ def test_row_blocks_change_no_bit(kind, seed, entries):
         got = green_operator(kernel, targets, omega)(f)
     assert gram.tobytes() == whole.tobytes()
     assert got.tobytes() == weighted_sum(whole, masked_mul(omega.integration_weights, f)).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adjoint_operator_is_the_transpose_in_the_omega_pairing(seed):
+    # <A f, g>_omega == <f, A* g>_omega with A* g = G^T (w g) on omega's
+    # sites, an unsorted subset of a nonsymmetric matrix's, to rounding;
+    # a symmetric kernel's adjoint is its operator itself
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    G = rng.uniform(0.0, 1.0, (n + 1, n + 1))
+    sites = rng.permutation(n + 1)[:n]
+    omega = Measure.atomic(sites, random_weights(rng, n))
+    w = omega.integration_weights
+    apply = green_operator(Kernel.matrix(G), omega.sites, omega)
+    adjoint = adjoint_operator(Kernel.matrix(G), omega, apply)
+    assert adjoint is not apply
+    f, g = rng.uniform(0.0, 2.0, (2, n))
+    gram = G[np.ix_(sites, sites)]
+    assert np.allclose(adjoint(g), gram.T @ (w * g), rtol=1e-13, atol=0.0)
+    assert np.isclose(np.sum(w * g * apply(f)), np.sum(w * f * adjoint(g)), rtol=1e-13)
+    for kernel, om in [(Kernel.matrix(G + G.T), omega), (Kernel.interval1d(), Measure.lebesgue(8)),
+                       (Kernel.riesz(0.25, 1), Measure.lebesgue(8))]:
+        op = green_operator(kernel, om.support_sites, om)
+        assert adjoint_operator(kernel, om, op) is op
+
+
+@pytest.mark.parametrize("entries", [2**18, 2**6])
+@pytest.mark.parametrize("seed", range(6))
+def test_an_operator_is_its_own_adjoint_where_the_matrix_is_symmetric(seed, entries):
+    # all sites in order and an unsorted subset; a matrix symmetric on the
+    # subset only, and the same with one entry of the subset changed;
+    # blocks of 2^18 entries and of 2^6
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    A = rng.uniform(0.1, 1.0, (n, n))
+    G = 0.5 * (A + A.T)
+    sub = rng.choice(n - 1, size=int(rng.integers(2, n)), replace=False)
+    G[n - 1, sub[0]] += 1.0  # the last site is outside the subset
+    changed = G.copy()
+    changed[sub[-1], sub[0]] += 1.0
+    with mock.patch.object(extreal, "_BLOCK_ENTRIES", entries):
+        for sites, symmetric in [(np.arange(n), False), (sub, True)]:
+            omega = Measure.atomic(sites, np.ones(len(sites)))
+            for values, expected in [(G, symmetric), (changed, False)]:
+                restricted = values[np.ix_(sites, sites)]
+                assert np.array_equal(restricted, restricted.T) == expected
+                kernel = Kernel.matrix(values)
+                op = green_operator(kernel, omega.sites, omega)
+                assert (adjoint_operator(kernel, omega, op) is op) == expected
+
+
+@pytest.mark.parametrize("every", [True, False])
+def test_the_symmetry_test_holds_no_n_by_n_temporary(every):
+    # a 32 MiB symmetric matrix: blocks of 2^18 entries take a few 2 MiB
+    # temporaries, on all sites in order and on all but one, shuffled
+    n = 2048
+    rng = np.random.default_rng(1)
+    A = rng.uniform(0.1, 1.0, (n, n))
+    A += A.T
+    kernel = Kernel.matrix(A)
+    omega = Measure.atomic(np.arange(n) if every else rng.permutation(n)[:-1],
+                           np.ones(n if every else n - 1))
+    apply = green_operator(kernel, omega.sites, omega)
+    tracemalloc.start()
+    try:
+        assert adjoint_operator(kernel, omega, apply) is apply
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 @pytest.mark.parametrize("f", [None, "zeros and inf"])
