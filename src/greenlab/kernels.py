@@ -14,7 +14,7 @@ constant ``a`` (``G(x,y) <= a*G(y,x)`` both ways) and the weak-maximum-
 principle constant ``h`` (potentials bounded by 1 on the support of their
 measure are bounded by ``h`` everywhere).  ``a`` is computed exactly for
 matrices; for ``h`` only a certified lower bound is decidable by probing,
-so the kernel also carries optional declared overrides.
+so a problem or a manifest entry may declare its own ``h``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ class Kernel:
     values: Optional[np.ndarray] = None
     alpha: Optional[float] = None
     dim: Optional[int] = None
-    declared_h: Optional[float] = None
-    declared_a: Optional[float] = None
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -63,16 +61,12 @@ class Kernel:
                 raise ValueError(
                     f"riesz alpha must lie in (0, dim/2); got alpha={self.alpha}, dim={self.dim}"
                 )
-        for name in ("declared_h", "declared_a"):
-            if getattr(self, name) is not None:  # checked, and kept as given
-                real(getattr(self, name), name, least=1)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def matrix(cls, values, declared_h=None, declared_a=None) -> "Kernel":
-        return cls(MATRIX, values=np.asarray(values, dtype=float),
-                   declared_h=declared_h, declared_a=declared_a)
+    def matrix(cls, values) -> "Kernel":
+        return cls(MATRIX, values=np.asarray(values, dtype=float))
 
     @classmethod
     def riesz(cls, alpha: float, dim: int) -> "Kernel":
@@ -167,16 +161,16 @@ class Kernel:
         if self.variant == RIESZ:
             out["alpha"] = self.alpha
             out["dim"] = self.dim
-        if self.declared_h is not None:
-            out["declared_h"] = self.declared_h
-        if self.declared_a is not None:
-            out["declared_a"] = self.declared_a
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Kernel":
         if not isinstance(data, dict):
             raise ValueError(f"a kernel must be an object, got {type(data).__name__}")
+        for key in ("declared_h", "declared_a"):  # refused: ignoring one changes verdicts
+            if key in data:
+                raise ValueError(f"a kernel's {key!r} is no longer read: give 'h' in the "
+                                 "problem or manifest entry; a is computed exactly")
         variant = data.get("variant")
         if variant not in _VARIANTS:
             raise ValueError(f"unknown kernel variant {variant!r}")
@@ -185,8 +179,6 @@ class Kernel:
             values=np.asarray(data["values"], dtype=float) if variant == MATRIX else None,
             alpha=data.get("alpha"),
             dim=data.get("dim"),
-            declared_h=data.get("declared_h"),
-            declared_a=data.get("declared_a"),
         )
 
 
@@ -206,30 +198,46 @@ def distance_powers(targets: np.ndarray, sources: np.ndarray, expo: float):
             yield rows, np.power(np.sqrt(sq, out=sq), expo, out=sq)
 
 
-def estimate_quasi_symmetry(kernel: Kernel) -> float:
-    """Smallest a >= 1 with a**-1 * G(y,x) <= G(x,y) <= a * G(y,x), exactly.
+def _differing_pairs(G: np.ndarray, idx: np.ndarray, rows: slice, every: bool):
+    """The (upper, lower) entries of the differing pairs above the diagonal
+    of G on ``idx`` in the block ``rows`` of its rows.  A function of its
+    own, so a block's gathers are freed before the next block is taken."""
+    if every:
+        upper, lower = G[rows], G[:, rows].T
+    else:
+        upper, lower = G[np.ix_(idx[rows], idx)], G[np.ix_(idx, idx[rows])].T
+    differ = upper != lower
+    if not differ.any():
+        return np.empty(0), np.empty(0)
+    differ &= np.arange(len(idx)) > np.arange(rows.start, rows.stop)[:, None]
+    return upper[differ], lower[differ]
+
+
+def estimate_quasi_symmetry(kernel: Kernel, sites=None) -> float:
+    """Smallest a >= 1 with a**-1 * G(y,x) <= G(x,y) <= a * G(y,x), exactly,
+    over the pairs of ``sites`` (all sites in order when None).
 
     Riesz and interval kernels are symmetric by construction, so they
-    return 1.  For matrices the off-diagonal pairs are scanned; a pair
-    with one zero and one positive entry makes the constant +inf.
+    return 1.  A matrix is compared with its transpose a block of rows at
+    a time (views on all sites in order), so no n x n temporary exists;
+    only differing pairs are divided, upper over lower entry (an equal pair
+    gives 1), and a zero facing a positive entry gives +inf.  So a is 1
+    exactly when the matrix is symmetric on the sites.
     """
     if kernel.variant != MATRIX:
         return 1.0
     G = kernel.values
-    n = G.shape[0]
-    if n < 2:
-        return 1.0
-    iu = np.triu_indices(n, k=1)
-    a_vals = G[iu]
-    b_vals = G.T[iu]
-    zero_mismatch = (a_vals == 0.0) != (b_vals == 0.0)
-    if zero_mismatch.any():
-        return float("inf")
-    both = (a_vals > 0.0) & (b_vals > 0.0)
-    if not both.any():
-        return 1.0
-    ratio = a_vals[both] / b_vals[both]
-    return float(max(ratio.max(), (1.0 / ratio).max(), 1.0))
+    idx = np.arange(len(G)) if sites is None else kernel._as_sites(sites)
+    every = np.array_equal(idx, np.arange(len(G)))
+    a = 1.0
+    for rows in row_blocks(len(idx), len(idx)):
+        upper, lower = _differing_pairs(G, idx, rows, every)
+        if np.any(upper == 0.0) or np.any(lower == 0.0):
+            return float("inf")
+        with np.errstate(over="ignore", divide="ignore"):  # past the float range: +inf
+            ratio = upper / lower
+            a = max(a, float(np.max(ratio, initial=1.0)), float(np.max(1.0 / ratio, initial=1.0)))
+    return a
 
 
 def estimate_wmp_constant(kernel: Kernel, samples: int = 64, seed: int = 0) -> float:
@@ -280,16 +288,5 @@ def estimate_wmp_constant(kernel: Kernel, samples: int = 64, seed: int = 0) -> f
 
 
 def resolve_h(kernel: Kernel) -> float:
-    """WMP constant to use for a kernel: declared, else 1 for Green-type
-    variants, else the probed lower bound."""
-    if kernel.declared_h is not None:
-        return real(kernel.declared_h, "declared_h", least=1)
-    if kernel.variant != MATRIX:
-        return 1.0
+    """WMP constant of a kernel when none is declared: the probed lower bound."""
     return estimate_wmp_constant(kernel)
-
-
-def resolve_quasi_symmetry(kernel: Kernel) -> float:
-    if kernel.declared_a is not None:
-        return real(kernel.declared_a, "declared_a", least=1)
-    return estimate_quasi_symmetry(kernel)

@@ -160,10 +160,18 @@ def power_integral(values, expo: float, weights):
 
 def lp_norm(f: Field, p: float) -> float:
     """(Integral of |f|^p against the measure f is sampled on)^(1/p); +inf
-    propagates through.  A field without a measure cannot be integrated."""
+    propagates through.  A field without a measure cannot be integrated.
+    An integral of finite values past the float range is taken again on
+    |f| / 2^e, 2^e > max|f|, and the norm scaled back, so it stays finite."""
     if not p > 0:
         raise ValueError("p must be > 0")
     if f.measure_ref is None:
         raise ValueError("field has no measure to integrate against")
-    weights = f.measure_ref.integration_weights
-    return float(ext_power(power_integral(np.abs(f.values), p, weights), 1.0 / p))
+    values, weights = np.abs(f.values), f.measure_ref.integration_weights
+    integral = power_integral(values, p, weights)
+    if np.isposinf(integral) and np.isfinite(values).all():
+        e = int(np.frexp(np.max(values))[1])
+        scaled = ext_power(power_integral(np.ldexp(values, -e), p, weights), 1.0 / p)
+        with np.errstate(over="ignore"):  # a norm past the float range is +inf
+            return float(np.ldexp(scaled, e))
+    return float(ext_power(integral, 1.0 / p))

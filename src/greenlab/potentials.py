@@ -45,7 +45,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .extreal import INF, ext_power, gram_product, masked_mul, row_blocks
-from .kernels import INTERVAL, MATRIX, RIESZ, Kernel
+from .kernels import INTERVAL, MATRIX, RIESZ, Kernel, estimate_quasi_symmetry
 from .measures import GRID, Field, Measure, power_integral
 
 Targets = Union[Measure, np.ndarray, list, None]
@@ -237,19 +237,12 @@ def green_operator(kernel: Kernel, target_sites, omega: Measure):
 
 def adjoint_operator(kernel: Kernel, omega: Measure, apply):
     """g -> G^T(g d omega) on omega's sites, the adjoint of ``apply`` (omega's
-    operator there) in L^2(omega): ``apply`` itself unless a matrix differs
-    from its transpose on omega's sites, compared a block of rows at a time
-    (views on all sites in order), then the transposed matrix's operator."""
-    if kernel.variant != MATRIX:
+    operator there) in L^2(omega): ``apply`` itself where the kernel is
+    symmetric (``estimate_quasi_symmetry`` on omega's sites is 1), else the
+    transposed matrix's operator."""
+    if estimate_quasi_symmetry(kernel, omega.support_sites) == 1.0:
         return apply
-    idx, G = kernel._as_sites(omega.support_sites), kernel.values
-    every = np.array_equal(idx, np.arange(len(G)))
-    cols = slice(None) if every else idx
-    for rows in row_blocks(len(idx), len(idx)):
-        pick = rows if every else idx[rows]
-        if not np.array_equal(G[pick][:, cols], G[:, pick][cols].T):
-            return green_operator(Kernel.matrix(G.T), omega.support_sites, omega)
-    return apply
+    return green_operator(Kernel.matrix(kernel.values.T), omega.support_sites, omega)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .energy import grid_derivative
 from .extreal import TINY, ext_power, integer, masked_mul, weighted_sum
-from .kernels import Kernel, distance_powers, resolve_h, resolve_quasi_symmetry
-from .measures import GRID, Field, Measure, power_integral, total_mass
+from .kernels import Kernel, distance_powers, estimate_quasi_symmetry, resolve_h
+from .measures import GRID, Field, Measure, lp_norm, power_integral, total_mass
 from .potentials import (adjoint_operator, domain_sites, green_operator, lattice_column,
                          max_norm_ratio, potential, toeplitz_operator)
 from .serialize import digest
@@ -201,30 +201,31 @@ def check_norm_constant(kernel: Kernel, omega: Measure, p: float, r: float) -> V
 
 def check_norm_equivalence(kernel: Kernel, omega: Measure, p: float, r: float,
                            h: Optional[float] = None) -> VerifyReport:
-    """Finiteness of the energy integral of exponent p*r/(p-r) versus the
-    observed norm constant.
+    """Finiteness of the energy integral of exponent e = p*r/(p-r) versus
+    the observed norm constant.
 
     Finite branch: the structured candidate f = (G omega)^(r/(p-r)) plus
-    the iterated inequality force C >= c0 * energy^((p-r)/(p*r)) with
+    the iterated inequality force C >= c0 * ||G omega||_{L^e(omega)} with
     c0 = (p-r) / (p * h^(r/(p-r))), so the estimated constant must clear
-    that floor.  Infinite branch: no finite constant can exist and the
-    estimator must blow up as well.
+    that floor.  Infinite branch, G omega = +inf where omega has mass: no
+    finite constant can exist and the estimator must blow up as well.
     """
     dig = _digest_inputs(check="norm_equivalence", kernel=kernel, omega=omega, p=p, r=r)
     if h is None:
         h = resolve_h(kernel)
     op, adjoint, w, g_omega = _self_operator(kernel, omega, p, r)  # checks (p, r) first
-    energy = power_integral(g_omega, p * r / (p - r), w)
+    e = p * r / (p - r)
+    energy = power_integral(g_omega, e, w)
     c_lower = max_norm_ratio(op, adjoint, w, g_omega, p, r)
     s_exp = r / (p - r)
     c0 = 1.0 / ((s_exp + 1.0) * _power(h, s_exp))
-    if np.isinf(energy):
+    if np.isposinf(g_omega[w > 0.0]).any():
         passed = bool(np.isinf(c_lower))
         return VerifyReport("norm_equivalence", dig, c_lower, float("inf"),
                             c0, passed, 0.0,
                             {"status": "checked", "branch": "infinite-energy",
                              "energy": energy, "h": h})
-    floor = float(masked_mul(c0, _power(energy, (p - r) / (p * r))))  # 0 * inf = 0
+    floor = float(masked_mul(c0, lp_norm(Field(omega, g_omega), e)))  # 0 * inf = 0
     passed = bool(np.isfinite(c_lower) and c_lower >= floor * (1.0 - REL_TOL_CHAIN))
     return VerifyReport("norm_equivalence", dig, float(c_lower), float(floor),
                         c0, passed, float(c_lower - floor),
@@ -308,7 +309,7 @@ def check_relation_chain(kernel: Kernel, sigma: Measure, mu: Measure, q: float,
     gq = gamma + q
     case = 3 if abs(gq - 1.0) <= 1e-12 else (1 if gq > 1.0 else 2)
     c, (e_cross, e_mu, e_sigma), factors = _RELATION_CASES[case](
-        q, gamma, h, resolve_quasi_symmetry(kernel))
+        q, gamma, h, estimate_quasi_symmetry(kernel))
     lhs = _power(i_cross, e_cross)
     rhs = float(masked_mul(masked_mul(c, _power(i_mu, e_mu)), _power(i_sigma, e_sigma)))
     passed = bool(np.isfinite(i_cross) and bool(_le(lhs, rhs, REL_TOL_CHAIN)))

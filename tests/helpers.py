@@ -210,3 +210,23 @@ def norm_ratio_reference(apply, adjoint, w: np.ndarray, g_omega: np.ndarray, p: 
     for _ in range(samples):
         best = max(best, ratio(1.0 - rng.random(len(w)))[0])
     return float(best)
+
+
+def quasi_symmetry_reference(G: np.ndarray, sites=None) -> float:
+    """The quasi-symmetry constant of G restricted to ``sites`` (all in
+    order when None) by one scan over ``triu_indices``: every pair above
+    the diagonal, upper entry over lower, +inf for a zero facing a
+    positive entry, and the largest ratio or inverse ratio, at least 1."""
+    M = np.asarray(G, dtype=float)
+    if sites is not None:
+        M = M[np.ix_(sites, sites)]
+    iu = np.triu_indices(len(M), k=1)
+    upper, lower = M[iu], M.T[iu]
+    if np.any((upper == 0.0) != (lower == 0.0)):
+        return float("inf")
+    both = (upper > 0.0) & (lower > 0.0)
+    if not both.any():
+        return 1.0
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = upper[both] / lower[both]
+        return float(max(ratio.max(), (1.0 / ratio).max(), 1.0))

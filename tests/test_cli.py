@@ -435,10 +435,9 @@ class TestVerify:
         manifest = {
             "checks": [
                 {"check": "iterated",
-                 "kernel": {"variant": "matrix", "values": [[1, 10], [10, 1]],
-                            "declared_h": 1.0},
+                 "kernel": {"variant": "matrix", "values": [[1, 10], [10, 1]]},
                  "omega": {"variant": "atomic", "sites": [0], "weights": [1.0]},
-                 "s": 2.0},
+                 "s": 2.0, "h": 1.0},
             ]
         }
         inp = write(tmp_path, "m.json", manifest)
@@ -791,7 +790,7 @@ class TestExponents:
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["iterated"], "s": "2"}]},
      "bad manifest entry 'iterated': 's' must be a number, got '2'"),
     ("solve", {**GOLDEN_PROBLEM, "kernel": {**GOLDEN_PROBLEM["kernel"], "declared_h": True}},
-     "problem file has a missing or malformed field: declared_h must be a number, got True"),
+     "a kernel's 'declared_h' is no longer read: give 'h' in the problem or manifest entry"),
     ("solve", {**GOLDEN_PROBLEM, "h": True},
      "problem file has a missing or malformed field: h must be a number, got True"),
     ("verify", {"checks": [{**FUZZ_MANIFEST_ENTRIES["iterated"], "s": True}]},
@@ -1034,11 +1033,10 @@ def _replaced(doc, path, value):
     return out
 
 
-# the number fields the fuzz documents leave out: a problem's h, a kernel's
-# declared constants, a Riesz kernel's alpha and dim
+# the number fields the fuzz documents leave out: a problem's declared h,
+# a Riesz kernel's alpha and dim
 NUMBER_DOCS = {
-    "declared": {**GOLDEN_PROBLEM, "h": 1.0,
-                 "kernel": {**GOLDEN_PROBLEM["kernel"], "declared_h": 1, "declared_a": 1.0}},
+    "declared": {**GOLDEN_PROBLEM, "h": 1.0},
     "riesz": RIESZ_GRID_PROBLEM,
 }
 
@@ -1067,6 +1065,21 @@ def test_a_number_field_takes_no_bool_or_string(tmp_path, capsys, command, doc, 
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert repr(bad) in err
+
+
+@pytest.mark.parametrize("key, value", [("declared_h", 1.0), ("declared_a", 2.5)])
+@pytest.mark.parametrize("command, doc, prefix", [
+    ("solve", GOLDEN_PROBLEM, ()), ("energy", FUZZ_ENERGY, ()),
+    ("verify", FUZZ_MANIFEST_ENTRIES["iterated"], ("checks", 0))], ids=["problem", "energy",
+                                                                       "manifest"])
+def test_a_kernel_declaring_a_structural_constant_is_refused(tmp_path, capsys, command, doc,
+                                                             prefix, key, value):
+    # whatever its value: a dropped declared h would change verdicts silently
+    payload = _replaced({"checks": [doc]} if prefix else doc, prefix + ("kernel", key), value)
+    assert main([command, write(tmp_path, "in.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"a kernel's {key!r} is no longer read: give 'h' in the problem" in err
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,7 +14,7 @@ from greenlab import (
 )
 from greenlab.extreal import gram_product, weighted_sum
 from greenlab.kernels import distance_powers
-from tests.helpers import interval_green_oracle
+from tests.helpers import interval_green_oracle, quasi_symmetry_reference
 
 
 def wmp_reference(G: np.ndarray, samples: int, seed: int) -> float:
@@ -112,6 +112,32 @@ class TestQuasiSymmetry:
         A = rng.uniform(0.1, 5.0, (n, n))
         G = 0.5 * (A + A.T)
         assert estimate_quasi_symmetry(Kernel.matrix(G)) == 1.0
+
+    @pytest.mark.parametrize("entries", [2**18, 2**6])
+    @pytest.mark.parametrize("kind", ["positive", "zeros", "mismatch", "wide", "overflow"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_blockwise_scan_gives_the_one_shot_bits(self, seed, kind, entries):
+        # random matrices with symmetric zeros, with one zero facing a
+        # positive entry, with entries from 1e-155 to 1e155 and from 1e-300
+        # to 1e300 (quotients past the float range), on all sites in order
+        # and on unsorted subsets, where the pairs turn round
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        G = rng.uniform(0.1, 3.0, (n, n))
+        if kind == "zeros":
+            zero = rng.random((n, n)) < 0.3
+            G[zero | zero.T] = 0.0
+        elif kind == "mismatch":
+            G[tuple(rng.choice(n, 2, replace=False))] = 0.0
+        elif kind != "positive":
+            decades = 155.0 if kind == "wide" else 300.0
+            G = 10.0 ** rng.uniform(-decades, decades, (n, n))
+        kernel = Kernel.matrix(G)
+        with mock.patch.object(extreal, "_BLOCK_ENTRIES", entries):
+            for sites in (None, rng.permutation(n), rng.permutation(n)[:max(1, n // 2)]):
+                got = estimate_quasi_symmetry(kernel, sites)
+                assert np.float64(got).tobytes() == np.float64(
+                    quasi_symmetry_reference(G, sites)).tobytes()
 
 
 class TestWmpConstant:
@@ -265,15 +291,12 @@ def test_stacked_product_of_the_gram_view_is_the_copied_gram_product(n):
 
 
 def test_json_round_trip():
-    for k in (Kernel.matrix([[2, 1], [1, 2]], declared_h=1.0),
-              Kernel.matrix([[2, 1], [1, 2]], declared_h=3, declared_a=2.5),
+    for k in (Kernel.matrix([[2, 1], [1, 2]]),
               Kernel.riesz(1.0, 3),
               Kernel.interval1d()):
         k2 = Kernel.from_dict(k.to_dict())
         assert k2.variant == k.variant
-        assert k2.declared_h == k.declared_h
-        assert k2.declared_a == k.declared_a
-        assert type(k2.declared_h) is type(k.declared_h)  # kept as given: 3 stays an int
+        assert (k2.alpha, k2.dim) == (k.alpha, k.dim)
         if k.variant == "matrix":
             assert np.array_equal(k2.values, k.values)
 

@@ -110,3 +110,20 @@ def test_scaled_and_round_trip():
     assert g2.n_cells == 4 and np.array_equal(g2.values, g.values)
     with pytest.raises(ValueError):
         Measure.from_dict({"variant": "cloud"})
+
+
+@pytest.mark.parametrize("values, weights, p, expected", [
+    ([1e200], [1e-60], 2.0, 1e170),
+    ([1e200], [1e100], 1.5, 1e200 * 1e100 ** (1.0 / 1.5)),
+    ([1e200, 3e199], [1.0, 2.0], 2.0, 1e200 * (1.0 + 2.0 * 0.09) ** 0.5),
+    ([1e-200, 1e300], [1.0, 1e-300], 4.0, 1e300 * 1e-75),
+])
+def test_a_norm_whose_integral_overflows_stays_finite(values, weights, p, expected):
+    # the integral of |f|^p passes the float range, the norm does not
+    f = Field(Measure.atomic(np.arange(len(values)), weights), values)
+    assert lp_norm(f, p) == pytest.approx(expected, rel=1e-14)
+
+
+def test_a_norm_past_the_float_range_is_inf():
+    f = Field(Measure.atomic([0, 1], [1e300, 1e300]), [1e300, 1e300])
+    assert lp_norm(f, 0.5) == np.inf

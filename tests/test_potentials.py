@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from greenlab import Kernel, Measure, domain_sites, iterated_potential, potential
+from greenlab import (Kernel, Measure, domain_sites, estimate_quasi_symmetry, iterated_potential,
+                      potential)
 from greenlab import extreal
 from greenlab.extreal import masked_mul, row_blocks, weighted_sum
 from greenlab.measures import power_integral
@@ -308,23 +309,26 @@ def test_adjoint_operator_is_the_transpose_in_the_omega_pairing(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_an_operator_is_its_own_adjoint_where_the_matrix_is_symmetric(seed, entries):
     # all sites in order and an unsorted subset; a matrix symmetric on the
-    # subset only, and the same with one entry of the subset changed;
-    # blocks of 2^18 entries and of 2^6
+    # subset only, and the same with one entry of the subset changed, by
+    # 1 and to the double next to its partner; blocks of 2^18 entries and
+    # of 2^6; the quasi-symmetry constant there is 1 exactly then
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 40))
     A = rng.uniform(0.1, 1.0, (n, n))
     G = 0.5 * (A + A.T)
     sub = rng.choice(n - 1, size=int(rng.integers(2, n)), replace=False)
     G[n - 1, sub[0]] += 1.0  # the last site is outside the subset
-    changed = G.copy()
+    changed, near = G.copy(), G.copy()
     changed[sub[-1], sub[0]] += 1.0
+    near[sub[-1], sub[0]] = np.nextafter(G[sub[0], sub[-1]], np.inf)
     with mock.patch.object(extreal, "_BLOCK_ENTRIES", entries):
         for sites, symmetric in [(np.arange(n), False), (sub, True)]:
             omega = Measure.atomic(sites, np.ones(len(sites)))
-            for values, expected in [(G, symmetric), (changed, False)]:
+            for values, expected in [(G, symmetric), (changed, False), (near, False)]:
                 restricted = values[np.ix_(sites, sites)]
                 assert np.array_equal(restricted, restricted.T) == expected
                 kernel = Kernel.matrix(values)
+                assert (estimate_quasi_symmetry(kernel, sites) == 1.0) == expected
                 op = green_operator(kernel, omega.sites, omega)
                 assert (adjoint_operator(kernel, omega, op) is op) == expected
 
@@ -332,7 +336,9 @@ def test_an_operator_is_its_own_adjoint_where_the_matrix_is_symmetric(seed, entr
 @pytest.mark.parametrize("every", [True, False])
 def test_the_symmetry_test_holds_no_n_by_n_temporary(every):
     # a 32 MiB symmetric matrix: blocks of 2^18 entries take a few 2 MiB
-    # temporaries, on all sites in order and on all but one, shuffled
+    # temporaries, on all sites in order and on all but one, shuffled; the
+    # adjoint's test and the quasi-symmetry scan, there and on all sites,
+    # the scan also once a pair differs and the blocks holding it are divided
     n = 2048
     rng = np.random.default_rng(1)
     A = rng.uniform(0.1, 1.0, (n, n))
@@ -344,6 +350,11 @@ def test_the_symmetry_test_holds_no_n_by_n_temporary(every):
     tracemalloc.start()
     try:
         assert adjoint_operator(kernel, omega, apply) is apply
+        assert estimate_quasi_symmetry(kernel, omega.sites) == 1.0
+        assert estimate_quasi_symmetry(kernel) == 1.0
+        A[omega.sites[-1], omega.sites[0]] *= 1.5
+        assert estimate_quasi_symmetry(kernel, omega.sites) > 1.0
+        assert estimate_quasi_symmetry(kernel) > 1.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -266,6 +266,22 @@ class TestAPriori:
         ap = a_priori_check(p, solve(p))
         assert (ap["c"], ap["bound_value"], ap["satisfied"]) == (np.inf, np.inf, True)
 
+    def test_norms_whose_integrals_overflow_stay_finite(self):
+        # u = 1e200: u^2 sigma and u^1.5 mu pass the float range, the norms
+        # 1e170 and 1e200 * (1e100)^(2/3) do not, and the bound holds with
+        # ||G mu|| = 1e170 and c_est = 1e25
+        p = Problem(kernel=Kernel.matrix([[1e100]]), sigma=Measure.atomic([0], [1e-60]),
+                    mu=Measure.atomic([0], [1e100]), q=0.5, gamma=1.5)
+        rep = solve(p)
+        assert rep.converged and rep.u_values[0] == pytest.approx(1e200, rel=1e-12)
+        norms = rep.norms()
+        assert norms["L_gamma_plus_q_sigma"] == pytest.approx(1e170, rel=1e-12)
+        assert norms["L_gamma_mu"] == pytest.approx(1e200 * 1e100 ** (2.0 / 3.0), rel=1e-12)
+        ap = a_priori_check(p, rep)
+        assert ap["norm_value"] == norms["L_gamma_plus_q_sigma"]
+        assert ap["bound_value"] == pytest.approx(1e50 + 2e170, rel=1e-12)
+        assert ap["satisfied"]
+
     def test_refuses_another_problem(self):
         p = scalar_problem(m=1.0)
         rep = solve(p)

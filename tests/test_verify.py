@@ -20,6 +20,7 @@ from greenlab import (
     cross_energy,
     domain_sites,
     estimate_norm_constant,
+    estimate_quasi_symmetry,
     exponent_table,
     ibp_check,
     iterated_potential,
@@ -260,6 +261,15 @@ class TestEquivalence:
         assert rep.details["branch"] == "finite-energy" and np.isfinite(rep.details["energy"])
         assert (rep.lhs, rep.rhs, rep.passed) == (1.0, np.inf, False)
 
+    def test_an_energy_past_the_float_range_is_finite(self):
+        # G omega = 1e4 on one atom of weight 1: the energy of exponent 87
+        # is 1e348, past the float range but finite, and C = 1e4 clears the
+        # floor 1e4 / 30, the norm of G omega times c0 = 1/30
+        rep = check_norm_equivalence(Kernel.matrix([[1e4]]), Measure.atomic([0], [1.0]), 3.0, 2.9)
+        assert rep.details["branch"] == "finite-energy" and rep.passed
+        assert rep.lhs == pytest.approx(1e4, rel=1e-12)
+        assert rep.rhs == pytest.approx(1e4 / 30.0, rel=1e-12)
+
     @pytest.mark.parametrize("p, r", [(1.5, 1.5), (3.0, 3.0), (2.0, 2.5)])
     def test_r_not_below_p_is_refused(self, p, r):
         # before the energy exponent p*r/(p-r) divides by zero
@@ -292,14 +302,13 @@ class TestRelationLemma:
         assert a == pytest.approx((1.0 + 1.0 / 1.5) / 2.0)
         assert rep.passed
 
-    @pytest.mark.parametrize("declared_a", [None, 3.0])
-    def test_declared_quasi_symmetry_enters_the_chain(self, declared_a):
-        # the kernel's declared_a is the chain's quasi-symmetry factor, else
-        # the exact scan (2 for this matrix)
-        k = Kernel.matrix([[2.0, 2.0], [1.0, 2.0]], declared_a=declared_a)
+    @pytest.mark.parametrize("off, a", [(1.0, 2.0), (2.0, 1.0)])
+    def test_the_exact_quasi_symmetry_enters_the_chain(self, off, a):
+        # the chain's quasi-symmetry factor is the exact scan over all sites
+        k = Kernel.matrix([[2.0, 2.0], [off, 2.0]])
         om = Measure.atomic([0, 1], [1.0, 1.0])
         rep = check_relation_chain(k, om, om, 0.5, 1.0, h=1.0)
-        assert rep.details["factors"]["quasi_symmetry"] == (declared_a or 2.0)
+        assert rep.details["factors"]["quasi_symmetry"] == estimate_quasi_symmetry(k) == a
 
     def test_hypothesis_fail_branch(self):
         k = Kernel.riesz(1.0, 3)
